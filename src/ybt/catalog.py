@@ -239,7 +239,3 @@ def rebuild_data_files(directory=None):
         entry = _build(name, DEFAULTS[name])
         validate_entry(entry)
         (directory / f"{name}.json").write_text(pretty_dumps(entry_to_obj(entry)))
-
-
-# Public alias for the listing operation; shadows the builtin only at module scope.
-list = names

@@ -43,6 +43,7 @@ from .subspace_solver import (
 )
 from .tensor_core import Operator, RATIONAL
 from .twist_engine import (
+    CheckReport,
     TwistPair,
     apply_twist,
     aux_identity_residual,
@@ -134,10 +135,6 @@ def _write_or_embed(args, outputs: dict, key: str, obj: dict):
         outputs[key] = obj
 
 
-def _check_backend_verdict(residuals: dict, backend: str, tol):
-    return all(magnitude_ok(v, backend, tol) for v in residuals.values())
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (report dict, verdict)
 # ---------------------------------------------------------------------------
@@ -181,8 +178,9 @@ def _cmd_check_pair(args):
     aux = aux_identity_residual(r, pair)
     residuals = dict(module_report.residuals)
     residuals["aux"] = aux
-    gating = {k: residuals[k] for k in ("cond1", "cond2", "cond3", "aux")}
-    verdict = _check_backend_verdict(gating, r.backend, args.tol)
+    verdict = CheckReport.build(
+        residuals, r.backend, args.tol, gates=("cond1", "cond2", "cond3", "aux")
+    ).verdict
     report = {
         "command": "check-pair",
         "inputs": {"r": args.r, "pair": args.pair},

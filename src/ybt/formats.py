@@ -32,10 +32,6 @@ def parse_rational(raw, where: str = "value") -> Fraction:
     raise FormatError(f"expected a rational string, got {type(raw).__name__}", where)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def scalar_to_obj(value: Scalar, backend: str):
     if backend == RATIONAL:
         return str(value)

@@ -1,8 +1,9 @@
 """Exact null spaces: R-symmetric tensors, braid intertwiner spaces, certificates.
 
 The defining relations are linear in the unknown operator Z, vectorized
-row-major, and solved by fraction-free elimination over integers so that
-every reported basis element satisfies its system exactly.  Deciding
+row-major, and solved by the fraction-free integer elimination kernel of
+``tensor_core`` (forward pass, then reduced echelon form); every reported
+basis element is re-verified by substitution into its system.  Deciding
 whether a computed subspace holds an invertible element is done by a
 seeded randomized search with an explicit budget; a miss is evidence,
 never a proof of non-existence.
@@ -15,10 +16,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatchError, ShapeMismatchError, SizeCapError
+from .errors import BackendMismatchError, ShapeMismatchError, SizeCapError, YbtError
 from .tensor_core import (
     Operator,
     RATIONAL,
+    _back_substitute,
+    _eliminate,
+    _integerize,
+    _primitive,
     determinant,
     embed,
     leg_permute,
@@ -56,12 +61,12 @@ class SubspaceBasis:
     def is_independent(self) -> bool:
         """Exact rank check: dimension equals the rank of the stacked vectors."""
         eqs = [_vectorize(op) for op in self.basis]
-        pivots = _eliminate([_integerize(e) for e in eqs if e])
+        pivots = _eliminate([_integerize(e)[0] for e in eqs if e])
         return len(pivots) == self.dimension
 
 
 # ---------------------------------------------------------------------------
-# sparse fraction-free linear algebra over the rationals
+# exact null spaces over the shared integer elimination kernel
 # ---------------------------------------------------------------------------
 
 
@@ -75,132 +80,58 @@ def _vectorize(op: Operator) -> dict[int, Fraction]:
     }
 
 
-def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
-    lcm = 1
-    for v in row.values():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    out = {j: int(v * lcm) for j, v in row.items()}
-    g = 0
-    for v in out.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        out = {j: v // g for j, v in out.items()}
-    return out
-
-
-def _strip_content(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
-
-
-def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Online forward elimination; returns pivot column -> reduced row."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _strip_content(row)
-                break
-            p, a = piv[c], row[c]
-            new: dict[int, int] = {}
-            for j, v in row.items():
-                w = p * v - a * piv.get(j, 0)
-                if w:
-                    new[j] = w
-            for j, v in piv.items():
-                if j not in row:
-                    new[j] = -a * v
-            row = _strip_content(new) if new else new
-    return pivots
-
-
-def _kernel_basis(
-    eqs: list[dict[int, Fraction]], num_vars: int
-) -> list[dict[int, Fraction]]:
+def _kernel_basis(eqs: list[dict[int, Fraction]], num_vars: int) -> list[dict[int, int]]:
     """Canonical basis of the exact solution set of `eqs` (rows of A x = 0).
 
     Basis vectors are integer, content-free, leading entry positive, one
     per free column in ascending column order.
     """
-    int_rows = [_integerize(e) for e in eqs if e]
-    pivots = _eliminate(int_rows)
-    piv_cols = sorted(pivots)
-    # reduced echelon: express each pivot variable through free ones only
-    rref: dict[int, dict[int, Fraction]] = {}
-    for c in reversed(piv_cols):
-        p = pivots[c][c]
-        out: dict[int, Fraction] = {}
-        for j, v in pivots[c].items():
-            if j == c:
-                continue
-            coef = Fraction(v, p)
-            sub = rref.get(j)
-            if sub is None:
-                out[j] = out.get(j, Fraction(0)) + coef
-                if not out[j]:
-                    del out[j]
-            else:
-                for jj, vv in sub.items():
-                    out[jj] = out.get(jj, Fraction(0)) - coef * vv
-                    if not out[jj]:
-                        del out[jj]
-        rref[c] = out  # x_c + sum(out[f] * x_f) = 0, f free
+    int_rows = [_integerize(e)[0] for e in eqs if e]
+    reduced = _back_substitute(_eliminate(int_rows))
+    # a reduced row reads p x_c + sum(v x_f) = 0 over free columns f
+    free_cols: dict[int, list[tuple[int, int, int]]] = {}
+    for c, row in reduced.items():
+        p = row[c]
+        for f, v in row.items():
+            if f != c:
+                free_cols.setdefault(f, []).append((c, v, p))
     basis = []
-    piv_set = pivots.keys()
     for f in range(num_vars):
-        if f in piv_set:
+        if f in reduced:
             continue
-        vec = {f: Fraction(1)}
-        for c in piv_cols:
-            w = rref[c].get(f)
-            if w:
-                vec[c] = -w
-        basis.append(_canonical_vector(vec))
+        terms = free_cols.get(f, ())
+        scale = math.lcm(*(p // math.gcd(p, v) for _, v, p in terms))
+        vec = {f: scale}
+        for c, v, p in terms:
+            vec[c] = -v * scale // p
+        vec = _primitive(vec)
+        if vec[min(vec)] < 0:
+            vec = {j: -v for j, v in vec.items()}
+        basis.append(vec)
     _verify_kernel(int_rows, basis)
     return basis
 
 
-def _canonical_vector(vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    lcm = 1
-    for v in vec.values():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = {j: int(v * lcm) for j, v in vec.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if ints[min(ints)] < 0:
-        g = -g
-    return {j: Fraction(v, g) for j, v in ints.items()}
-
-
-def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, Fraction]]):
+def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
     # independent substitution of every vector into every touched equation
     touching: dict[int, list[tuple[int, int]]] = {}
     for ei, row in enumerate(int_rows):
         for j, v in row.items():
             touching.setdefault(j, []).append((ei, v))
     for vec in basis:
-        sums: dict[int, Fraction] = {}
+        sums: dict[int, int] = {}
         for j, val in vec.items():
             for ei, coef in touching.get(j, ()):
-                sums[ei] = sums.get(ei, Fraction(0)) + coef * val
-        assert all(s == 0 for s in sums.values()), "kernel vector fails its system"
+                sums[ei] = sums.get(ei, 0) + coef * val
+        if any(sums.values()):
+            raise YbtError("kernel vector fails its system")
 
 
-def _devectorize(
-    vec: dict[int, Fraction], site_dim: int, legs: int
-) -> Operator:
+def _devectorize(vec: dict[int, int], site_dim: int, legs: int) -> Operator:
     side = site_dim**legs
     rows = [[Fraction(0)] * side for _ in range(side)]
     for idx, v in vec.items():
-        rows[idx // side][idx % side] = v
+        rows[idx // side][idx % side] = Fraction(v)
     return Operator(site_dim, legs, RATIONAL, tuple(tuple(r) for r in rows))
 
 
@@ -376,7 +307,7 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     for vec in kernel:
         t = vec.get(d)
         if t:
-            return tuple(vec.get(i, Fraction(0)) / t for i in range(d))
+            return tuple(Fraction(vec.get(i, 0), t) for i in range(d))
     return None
 
 
@@ -397,20 +328,27 @@ def invertible_certificate(
     _require_exact(basis.basis[0], "invertible_certificate")
     rng = random.Random(seed)
     d = basis.dimension
+    side = basis.basis[0].side
+    entries = [tuple(_vectorize(op).items()) for op in basis.basis]
     for attempt in range(budget):
         if attempt == 0:
             coeffs = [Fraction(1)] * d
         else:
             bound = 9 + 9 * (attempt // 10)
             coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(d)]
-        combo = None
-        for c, op in zip(coeffs, basis.basis):
-            if not c:
-                continue
-            term = c * op
-            combo = term if combo is None else combo + term
-        if combo is None:
+        if not any(coeffs):
             continue
+        acc = [Fraction(0)] * (side * side)
+        for c, nonzero in zip(coeffs, entries):
+            if c:
+                for k, v in nonzero:
+                    acc[k] += c * v
+        combo = Operator(
+            basis.site_dim,
+            basis.legs,
+            RATIONAL,
+            tuple(tuple(acc[i * side:(i + 1) * side]) for i in range(side)),
+        )
         if determinant(combo) != 0:
             return tuple(coeffs), combo
     return None

@@ -10,6 +10,12 @@ identities that hold are exactly zero.  ``complex64`` keeps entries as
 double-precision complex pairs for user-supplied numeric matrices and is
 judged against a tolerance (default 1e-9).  Backends never mix silently.
 
+Exact linear algebra on the rational backend rests on one kernel: rows
+are scaled to integers and reduced by fraction-free, content-stripped
+sparse elimination (``_eliminate``), optionally followed by one reduced
+echelon pass (``_back_substitute``).  Inverses, determinants, ranks and
+the null spaces of ``subspace_solver`` all come from it.
+
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
 P_sigma X P_sigma^-1 with P_sigma the leg-permutation matrix.
@@ -297,87 +303,108 @@ def residual(x: Operator, y: Operator):
 
 
 # ---------------------------------------------------------------------------
-# exact inversion and determinants
+# exact integer elimination; inversion and determinants
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(x: Operator) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; returns (rows, per-row multipliers)."""
-    scaled, mults = [], []
-    for row in x.rows:
-        l = 1
-        for v in row:
-            l = l * v.denominator // math.gcd(l, v.denominator)
-        mults.append(l)
-        scaled.append([int(v * l) for v in row])
-    return scaled, mults
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free forward elimination (content-stripped)."""
-    rows = [r[:] for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank, r0 = 0, 0
-    for c in range(ncols):
-        piv = next((i for i in range(r0, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        p = rows[r0][c]
-        for i in range(r0 + 1, len(rows)):
-            a = rows[i][c]
-            if not a:
-                continue
-            row = [p * x - a * y for x, y in zip(rows[i], rows[r0])]
-            g = 0
-            for v in row:
-                g = math.gcd(g, v)
-            rows[i] = [v // g for v in row] if g > 1 else row
-        rank += 1
-        r0 += 1
-        if r0 == len(rows):
-            break
-    return rank
+def _integerize(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Scale a sparse rational row to integers; returns (row, multiplier)."""
+    lcm = math.lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}, lcm
+
+
+def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Online fraction-free forward elimination of sparse integer rows.
+
+    Returns pivot column -> content-free row whose lowest column is the
+    pivot.  Every row operation is p*row - a*pivot_row followed by exact
+    division by the content, so no inexact division can occur.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _primitive(row)
+                break
+            p, a = piv[c], row[c]
+            new: dict[int, int] = {}
+            for j, v in row.items():
+                w = p * v - a * piv.get(j, 0)
+                if w:
+                    new[j] = w
+            for j, v in piv.items():
+                if j not in row:
+                    new[j] = -a * v
+            row = _primitive(new) if new else new
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of `_eliminate` output, still content-free integers.
+
+    Each returned row keeps its pivot and has a zero in every other pivot
+    column; its remaining entries lie in non-pivot columns.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        hits = [j for j in row if j != c and j in pivots]
+        if hits:
+            lcm = math.lcm(*(reduced[j][j] for j in hits))
+            new = {j: v * lcm for j, v in row.items() if j == c or j not in pivots}
+            for j in hits:
+                red = reduced[j]
+                f = row[j] * (lcm // red[j])
+                for k, w in red.items():
+                    if k != j:
+                        new[k] = new.get(k, 0) - f * w
+            row = _primitive({k: v for k, v in new.items() if v})
+        reduced[c] = row
+    return reduced
+
+
+def _augmented_pivots(x: Operator) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Eliminate the integer rows of [M x | I], M the diagonal of row multipliers."""
+    side = x.side
+    rows, mults = [], []
+    for i, xrow in enumerate(x.rows):
+        ints, m = _integerize({j: v for j, v in enumerate(xrow) if v})
+        ints[side + i] = 1
+        rows.append(ints)
+        mults.append(m)
+    return _eliminate(rows), mults
 
 
 def _invert_rational(x: Operator) -> Operator:
     side = x.side
-    scaled, mults = _int_rows(x)
-    # fraction-free Gauss-Jordan on [A | I]: every division below is exact,
-    # and the final left block is d*I with d the last pivot
-    m = [scaled[i] + [int(i == j) for j in range(side)] for i in range(side)]
-    prev = 1
-    for k in range(side):
-        piv = next((r for r in range(k, side) if m[r][k]), None)
-        if piv is None:
-            raise SingularOperatorError(side, _int_rank(scaled))
-        if piv != k:
-            m[piv], m[k] = m[k], m[piv]
-        p = m[k][k]
-        mk = m[k]
-        for i in range(side):
-            if i == k:
-                continue
-            row = m[i]
-            a = row[k]
-            if a:
-                for j in range(2 * side):
-                    num = p * row[j] - a * mk[j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0, "fraction-free elimination lost exactness"
-                    row[j] = q
-            elif prev != 1 or p != 1:
-                for j in range(2 * side):
-                    q, rem = divmod(p * row[j], prev)
-                    assert rem == 0, "fraction-free elimination lost exactness"
-                    row[j] = q
-        prev = p
-    d = m[side - 1][side - 1]
-    rows = tuple(
-        tuple(Fraction(m[i][side + j] * mults[j], d) for j in range(side))
-        for i in range(side)
-    )
-    return Operator(x.site_dim, x.legs, RATIONAL, rows)
+    pivots, mults = _augmented_pivots(x)
+    rank = sum(1 for c in pivots if c < side)
+    if rank < side:
+        raise SingularOperatorError(side, rank)
+    # reduced row i is [p_i e_i | B_i] with B_i / p_i row i of (M x)^-1,
+    # and x^-1 = (M x)^-1 M
+    reduced = _back_substitute(pivots)
+    zero = Fraction(0)
+    rows = []
+    for i in range(side):
+        row = reduced[i]
+        p = row[i]
+        out = [zero] * side
+        for j, v in row.items():
+            if j >= side:
+                out[j - side] = Fraction(v * mults[j - side], p)
+        rows.append(tuple(out))
+    return Operator(x.site_dim, x.legs, RATIONAL, tuple(rows))
 
 
 def _invert_complex(x: Operator) -> Operator:
@@ -389,7 +416,7 @@ def _invert_complex(x: Operator) -> Operator:
     for k in range(side):
         piv = max(range(k, side), key=lambda r: abs(m[r][k]))
         if abs(m[piv][k]) <= cutoff:
-            return _raise_complex_singular(x, side, k)
+            raise SingularOperatorError(side, k)
         m[piv], m[k] = m[k], m[piv]
         p = m[k][k]
         m[k] = [v / p for v in m[k]]
@@ -402,10 +429,6 @@ def _invert_complex(x: Operator) -> Operator:
                 m[i] = [v - a * w for v, w in zip(m[i], mk)]
     rows = tuple(tuple(m[i][side:]) for i in range(side))
     return Operator(x.site_dim, x.legs, COMPLEX64, rows)
-
-
-def _raise_complex_singular(x: Operator, side: int, pivots_found: int):
-    raise SingularOperatorError(side, pivots_found)
 
 
 def invert(x: Operator) -> Operator:
@@ -439,27 +462,17 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    scaled, mults = _int_rows(x)
-    m = [row[:] for row in scaled]
-    sign, prev = 1, 1
-    for k in range(side):
-        piv = next((r for r in range(k, side) if m[r][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[piv], m[k] = m[k], m[piv]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, side):
-            a = m[i][k]
-            row = m[i]
-            for j in range(k, side):
-                num = p * row[j] - a * m[k][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination lost exactness"
-                row[j] = q
-        prev = p
-    scale = 1
-    for l in mults:
-        scale *= l
-    return Fraction(sign * m[side - 1][side - 1], scale)
+    pivots, mults = _augmented_pivots(x)
+    if any(c not in pivots for c in range(side)):
+        return Fraction(0)
+    # The pivot rows are [U | L] with U = L M x upper triangular.  The row
+    # for pivot c descends from input row origin[c], the last column its
+    # identity part touches, so L is a row permutation of a lower-triangular
+    # matrix and det x = sign * prod(diag U) / prod(diag L) / prod(M).
+    origin = [max(pivots[c]) - side for c in range(side)]
+    num, den = 1, 1
+    for c, i in enumerate(origin):
+        num *= pivots[c][c]
+        den *= pivots[c][side + i] * mults[i]
+    inversions = sum(a > b for k, a in enumerate(origin) for b in origin[k + 1:])
+    return Fraction(-num if inversions % 2 else num, den)

@@ -150,6 +150,8 @@ def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckR
     r12 = embed(r, [1, 2], 3)
     r23 = embed(r, [2, 3], 3)
     phi, psi = pair.phi, pair.psi
+    # apply_twist(r, pair.f), reusing the cached inverse: F21^-1 = (F^-1)21
+    twisted = leg_permute(pair.f_inv, (2, 1)) @ r @ pair.f
     cond2 = residual(r12 @ phi, leg_permute(phi, (2, 1, 3)) @ r12)
     cond3 = residual(r23 @ psi, leg_permute(psi, (1, 3, 2)) @ r23)
     residuals = {
@@ -157,7 +159,7 @@ def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckR
         "cond1": zero,
         "cond2": cond2,
         "cond3": cond3,
-        "ybe_r_twisted": ybe_residual(apply_twist(r, pair.f)),
+        "ybe_r_twisted": ybe_residual(twisted),
     }
     return CheckReport.build(
         residuals,
@@ -174,10 +176,11 @@ def aux_identity_residual(r: Operator, pair: TwistPair):
         raise ShapeMismatchError("r must have 2 legs")
     if r.site_dim != pair.site_dim or r.backend != pair.backend:
         raise ShapeMismatchError("r and pair must share site_dim and backend")
-    rt = apply_twist(r, pair.f)
+    # cached inverses only: F21^-1 = (F^-1)21 and psi^-1 = F23 G^-1
+    rt = leg_permute(pair.f_inv, (2, 1)) @ r @ pair.f
     f12 = embed(pair.f, [1, 2], 3)
     f12_inv = embed(pair.f_inv, [1, 2], 3)
-    psi_bar_312 = leg_permute(invert(pair.psi), (3, 1, 2))
+    psi_bar_312 = leg_permute(embed(pair.f, [2, 3], 3) @ pair.g_inv, (3, 1, 2))
     r13 = embed(r, [1, 3], 3)
     r23 = embed(r, [2, 3], 3)
     lhs = f12_inv @ psi_bar_312 @ r13 @ r23 @ pair.phi @ f12
