@@ -13,6 +13,7 @@ an F slot takes its twist's F, a pair slot takes the whole pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -453,11 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves its parser unchanged, so one parser per process
+    # serves every in-process call
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()

@@ -1,12 +1,15 @@
 """Exact null spaces: R-symmetric tensors, braid intertwiner spaces, certificates.
 
 The defining relations are linear in the unknown operator Z, vectorized
-row-major, and solved by the fraction-free integer elimination kernel of
-``tensor_core`` (forward pass, then reduced echelon form); every reported
-basis element is re-verified by substitution into its system.  Deciding
-whether a computed subspace holds an invertible element is done by a
-seeded randomized search with an explicit budget; a miss is evidence,
-never a proof of non-existence.
+row-major.  They are built as sparse integer rows (both braid matrices
+scaled by one common denominator) and solved by the fraction-free integer
+elimination kernel of ``tensor_core`` (forward pass, sparsest rows first,
+then reduced echelon form); every reported basis element is re-verified
+by substitution into its system.  A solved basis keeps its sparse integer
+kernel vectors, so membership tests and certificate searches never read
+the dense operators back.  Deciding whether a computed subspace holds an
+invertible element is done by a seeded randomized search with an explicit
+budget; a miss is evidence, never a proof of non-existence.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BackendMismatchError, ShapeMismatchError, SizeCapError, YbtError
 from .tensor_core import (
     Operator,
     RATIONAL,
+    Scalar,
     _back_substitute,
     _eliminate,
     _integerize,
@@ -58,10 +63,19 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def vectors(self) -> tuple[dict[int, Scalar], ...]:
+        """Exact sparse vector of each element: row-major entry index -> entry.
+
+        The solvers hand over the integer kernel vectors they computed; any
+        other basis reads them off its operators once, on first use.  The
+        dicts are shared, not copied: treat them as read-only.
+        """
+        return tuple(_vectorize(op) for op in self.basis)
+
     def is_independent(self) -> bool:
         """Exact rank check: dimension equals the rank of the stacked vectors."""
-        eqs = [_vectorize(op) for op in self.basis]
-        pivots = _eliminate([_integerize(e)[0] for e in eqs if e])
+        pivots = _eliminate([_integerize(v)[0] for v in self.vectors if v])
         return len(pivots) == self.dimension
 
 
@@ -80,13 +94,15 @@ def _vectorize(op: Operator) -> dict[int, Fraction]:
     }
 
 
-def _kernel_basis(eqs: list[dict[int, Fraction]], num_vars: int) -> list[dict[int, int]]:
-    """Canonical basis of the exact solution set of `eqs` (rows of A x = 0).
+def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[int, int]]:
+    """Canonical basis of the exact solution set of the integer rows of A x = 0.
 
     Basis vectors are integer, content-free, leading entry positive, one
-    per free column in ascending column order.
+    per free column in ascending column order.  The reduced echelon form
+    is unique, so the basis does not depend on the order or positive
+    scaling of the rows; the sparsest rows are eliminated first.
     """
-    int_rows = [_integerize(e)[0] for e in eqs if e]
+    int_rows = sorted((row for row in int_rows if row), key=len)
     reduced = _back_substitute(_eliminate(int_rows))
     # a reduced row reads p x_c + sum(v x_f) = 0 over free columns f
     free_cols: dict[int, list[tuple[int, int, int]]] = {}
@@ -129,10 +145,26 @@ def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
 
 def _devectorize(vec: dict[int, int], site_dim: int, legs: int) -> Operator:
     side = site_dim**legs
-    rows = [[Fraction(0)] * side for _ in range(side)]
+    zero = Fraction(0)
+    rows: dict[int, list[Fraction]] = {}
     for idx, v in vec.items():
-        rows[idx // side][idx % side] = Fraction(v)
-    return Operator(site_dim, legs, RATIONAL, tuple(tuple(r) for r in rows))
+        i, j = divmod(idx, side)
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = [zero] * side
+        row[j] = Fraction(v)
+    zero_row = (zero,) * side
+    return Operator(site_dim, legs, RATIONAL, tuple(
+        tuple(rows[i]) if i in rows else zero_row for i in range(side)
+    ))
+
+
+def _solved_basis(site_dim: int, legs: int, vectors: list[dict[int, int]]) -> SubspaceBasis:
+    ops = tuple(_devectorize(v, site_dim, legs) for v in vectors)
+    basis = SubspaceBasis(site_dim, legs, RATIONAL, ops)
+    # seed the cached property: the kernel vectors are the exact entries
+    basis.__dict__["vectors"] = tuple(vectors)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +180,32 @@ def _require_exact(op: Operator, what: str):
         )
 
 
-def _commutation_equations(
-    b_left: Operator, b_right: Operator
-) -> list[dict[int, Fraction]]:
-    """Rows of the linear system B_left Z - Z B_right = 0 over vec(Z)."""
+def _commutation_equations(b_left: Operator, b_right: Operator) -> list[dict[int, int]]:
+    """Integer rows of D (B_left Z - Z B_right) = 0 over vec(Z).
+
+    D is the common denominator of both braid matrices, so no row needs
+    rational arithmetic; a positive scale leaves the solution set alone.
+    """
     side = b_left.side
-    rows_nz = [
-        [(c, v) for c, v in enumerate(row) if v] for row in b_left.rows
-    ]
+    rows_nz = [[(c, v) for c, v in enumerate(row) if v] for row in b_left.rows]
     cols_nz: list[list[tuple[int, Fraction]]] = [[] for _ in range(side)]
     for c, row in enumerate(b_right.rows):
         for b, v in enumerate(row):
             if v:
                 cols_nz[b].append((c, v))
+    den = math.lcm(*(v.denominator for nz in (*rows_nz, *cols_nz) for _, v in nz))
+    left = [[(c, v.numerator * (den // v.denominator)) for c, v in nz] for nz in rows_nz]
+    right = [[(c, v.numerator * (den // v.denominator)) for c, v in nz] for nz in cols_nz]
     eqs = []
     for a in range(side):
         for b in range(side):
-            row: dict[int, Fraction] = {}
-            for c, v in rows_nz[a]:
-                key = c * side + b
-                row[key] = row.get(key, Fraction(0)) + v
-            for c, v in cols_nz[b]:
+            row = {c * side + b: v for c, v in left[a]}
+            for c, v in right[b]:
                 key = a * side + c
-                row[key] = row.get(key, Fraction(0)) - v
-            row = {k: v for k, v in row.items() if v}
+                row[key] = row.get(key, 0) - v
+            # only the (a, b) entry is written by both products
+            if row.get(a * side + b) == 0:
+                del row[a * side + b]
             if row:
                 eqs.append(row)
     return eqs
@@ -194,13 +228,11 @@ def _solve_pairs(
     r: Operator, r_tilde: Operator, n: int, size_cap: int
 ) -> SubspaceBasis:
     _check_cap(r.site_dim, n, size_cap)
-    eqs: list[dict[int, Fraction]] = []
+    eqs: list[dict[int, int]] = []
     for bl, br in zip(_embedded_braids(r, n), _embedded_braids(r_tilde, n)):
         eqs.extend(_commutation_equations(bl, br))
     side = r.site_dim**n
-    vectors = _kernel_basis(eqs, side * side)
-    ops = tuple(_devectorize(v, r.site_dim, n) for v in vectors)
-    return SubspaceBasis(r.site_dim, n, RATIONAL, ops)
+    return _solved_basis(r.site_dim, n, _kernel_basis(eqs, side * side))
 
 
 def r_symmetric_space(
@@ -216,16 +248,7 @@ def r_symmetric_space(
     if n < 1:
         raise ShapeMismatchError(f"n must be >= 1, got {n}")
     if n == 1:
-        units = []
-        d = r.site_dim
-        for i in range(d):
-            for j in range(d):
-                rows = [
-                    [Fraction(int(a == i and b == j)) for b in range(d)]
-                    for a in range(d)
-                ]
-                units.append(Operator(d, 1, RATIONAL, tuple(tuple(x) for x in rows)))
-        return SubspaceBasis(d, 1, RATIONAL, tuple(units))
+        return _solved_basis(r.site_dim, 1, [{k: 1} for k in range(r.site_dim**2)])
     return _solve_pairs(r, r, n, size_cap)
 
 
@@ -294,16 +317,15 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
         return None
     d = basis.dimension
     # unknowns: d combination coefficients plus one scale t for the target;
-    # kernel vectors with t != 0 witness membership
-    columns = [_vectorize(b) for b in basis.basis]
-    target = _vectorize(op)
-    eqs: dict[int, dict[int, Fraction]] = {}
-    for ci, col in enumerate(columns):
+    # kernel vectors with t != 0 witness membership.  The columns are the
+    # exact entries of the elements, so the coefficients need no rescaling.
+    eqs: dict[int, dict[int, Scalar]] = {}
+    for ci, col in enumerate(basis.vectors):
         for entry, v in col.items():
             eqs.setdefault(entry, {})[ci] = v
-    for entry, v in target.items():
+    for entry, v in _vectorize(op).items():
         eqs.setdefault(entry, {})[d] = -v
-    kernel = _kernel_basis(list(eqs.values()), d + 1)
+    kernel = _kernel_basis([_integerize(e)[0] for e in eqs.values()], d + 1)
     for vec in kernel:
         t = vec.get(d)
         if t:
@@ -329,26 +351,28 @@ def invertible_certificate(
     rng = random.Random(seed)
     d = basis.dimension
     side = basis.basis[0].side
-    entries = [tuple(_vectorize(op).items()) for op in basis.basis]
+    entries = [tuple(vec.items()) for vec in basis.vectors]
+    zero = Fraction(0)
     for attempt in range(budget):
         if attempt == 0:
-            coeffs = [Fraction(1)] * d
+            coeffs = [1] * d
         else:
             bound = 9 + 9 * (attempt // 10)
-            coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(d)]
+            coeffs = [rng.randint(-bound, bound) for _ in range(d)]
         if not any(coeffs):
             continue
-        acc = [Fraction(0)] * (side * side)
+        acc = [0] * (side * side)
         for c, nonzero in zip(coeffs, entries):
             if c:
                 for k, v in nonzero:
                     acc[k] += c * v
+        exact = [Fraction(v) if v else zero for v in acc]
         combo = Operator(
             basis.site_dim,
             basis.legs,
             RATIONAL,
-            tuple(tuple(acc[i * side:(i + 1) * side]) for i in range(side)),
+            tuple(tuple(exact[i * side:(i + 1) * side]) for i in range(side)),
         )
         if determinant(combo) != 0:
-            return tuple(coeffs), combo
+            return tuple(Fraction(c) for c in coeffs), combo
     return None

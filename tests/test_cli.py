@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft202012Validator
 
+from ybt import cli
 from ybt.cli import dispatch
 from ybt.formats import load_operator, operator_to_obj, pretty_dumps, save_operator
 from ybt import apply_twist, catalog, fuse_r, identity
@@ -240,3 +243,52 @@ def test_reports_are_byte_deterministic(capsys):
         second = run(capsys, *argv)
         assert first[1] == second[1]
         assert first[0] == second[0]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argv = ("rsym", "catalog:perm", "-n", 2, "--quiet")
+    first = run(capsys, *argv)
+    assert cli._parser() is cli._parser()
+    second = run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert run(capsys, "rsym", "catalog:perm")[0] == 2
+    assert run(capsys, *argv) == first
+
+
+# sha256 of the stdout bytes; these reports are pinned byte for byte, so a
+# change to the solver or the serialisation that alters them shows here
+RSYM_STDOUT_SHA256 = {
+    ("six_vertex", 5): "d235bcbc6705aa11792ee520d1cad2f60282eb13083f5dce3a63dbe90d7f6d32",
+    ("jordanian", 4): "4d8e73692f17385e615e48f2ad9ca6abe16d32c308957e23f7af5f10d7e1f080",
+    ("perm", 4): "7208d87fdd0c7037f087846a159c917a07e978b431e8bd6e4389c76bc2c74a1b",
+    ("identity", 3): "92292b3db8ec94d9be001cbabf7cd09b3c11450819b5be9e6bbb9f6db0ac73de",
+    ("diag_twist", 4): "469c96409645cad9fb60ac98cd87c3f2d4b115835478a080aa679f25720f442b",
+}
+
+
+def sha256(text) -> str:
+    data = text.encode() if isinstance(text, str) else text
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("entry, n", sorted(RSYM_STDOUT_SHA256))
+def test_rsym_stdout_is_pinned(capsys, entry, n):
+    code, out, _ = run(capsys, "rsym", f"catalog:{entry}", "-n", n, "--quiet")
+    assert code == 0
+    assert sha256(out) == RSYM_STDOUT_SHA256[entry, n]
+
+
+def test_intertwine_file_and_stdout_are_pinned(capsys, tmp_path):
+    twisted, basis = tmp_path / "tw.json", tmp_path / "basis.json"
+    run(capsys, "twist", "catalog:diag_twist", "catalog:diag_twist", "-o", twisted)
+    code, out, _ = run(
+        capsys, "intertwine", "catalog:diag_twist", twisted,
+        "-n", 4, "--seed", 7, "-o", basis, "--quiet",
+    )
+    assert code == 0
+    assert sha256(basis.read_bytes()) == (
+        "a1a0c272c69bc2b1cd7535e99de62fe04b15a359ea4ba511b1d56e6a145d906e"
+    )
+    assert sha256(out.replace(str(tmp_path), "<tmp>")) == (
+        "d7e2651f056c46c97d80e427cd8b69101f773b1ced2df6d0df5547848ce407d3"
+    )

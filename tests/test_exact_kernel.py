@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,11 +27,14 @@ from ybt import (
     braid_matrix,
     determinant,
     invert,
+    invertible_certificate,
     membership_coefficients,
     r_symmetric_space,
 )
 from ybt.errors import SingularOperatorError
+from ybt.formats import subspace_from_obj, subspace_to_obj
 from ybt.subspace_solver import _kernel_basis
+from ybt.tensor_core import _integerize
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -178,7 +182,23 @@ def test_kernel_basis_matches_reference(args):
     num_vars, square = args
     rows = [row[:num_vars] + [Fraction(0)] * (num_vars - len(row)) for row in square]
     eqs = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    assert _kernel_basis(eqs, num_vars) == ref_kernel(rows, num_vars)
+    int_rows = [_integerize(e)[0] for e in eqs]
+    assert _kernel_basis(int_rows, num_vars) == ref_kernel(rows, num_vars)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), matrices(max_side=n + 3))),
+       st.data())
+def test_kernel_basis_ignores_row_order_and_positive_scale(args, data):
+    num_vars, square = args
+    rows = [row[:num_vars] + [Fraction(0)] * (num_vars - len(row)) for row in square]
+    int_rows = [_integerize({j: v for j, v in enumerate(row) if v})[0] for row in rows]
+    order = data.draw(st.permutations(range(len(int_rows))))
+    scales = data.draw(st.lists(st.integers(1, 12), min_size=len(int_rows),
+                                max_size=len(int_rows)))
+    moved = [{j: s * v for j, v in int_rows[i].items()} for i, s in zip(order, scales)]
+    assert _kernel_basis(moved, num_vars) == _kernel_basis(int_rows, num_vars)
+    assert _kernel_basis(moved, num_vars) == ref_kernel(rows, num_vars)
 
 
 def commutation_rows(b):
@@ -216,6 +236,85 @@ def test_r_symmetric_space_and_membership_match_reference(rows):
     stacked = [[e for row in op.rows for e in row] for op in (*space.basis, outsider)]
     inside = len(ref_rref(stacked, 16)[1]) == space.dimension
     assert (membership_coefficients(space, outsider) is not None) == inside
+
+
+def flat(op):
+    return [e for row in op.rows for e in row]
+
+
+def ref_membership(ops, target):
+    """First kernel vector of [B_1 .. B_d | -T] with t != 0, from dense rows."""
+    d = len(ops)
+    columns = [flat(op) for op in ops] + [[-v for v in flat(target)]]
+    for vec in ref_kernel([list(eq) for eq in zip(*columns)], d + 1):
+        if vec.get(d):
+            return tuple(Fraction(vec.get(i, 0), vec[d]) for i in range(d))
+    return None
+
+
+def ref_certificate(ops, budget, seed):
+    """The documented search (all ones first, then widening random integers)."""
+    rng = random.Random(seed)
+    side = ops[0].side
+    for attempt in range(budget):
+        if attempt == 0:
+            coeffs = [1] * len(ops)
+        else:
+            bound = 9 + 9 * (attempt // 10)
+            coeffs = [rng.randint(-bound, bound) for _ in ops]
+        if not any(coeffs):
+            continue
+        combo = [[sum((c * op.rows[i][j] for c, op in zip(coeffs, ops)), Fraction(0))
+                  for j in range(side)] for i in range(side)]
+        if ref_det(combo):
+            return tuple(map(Fraction, coeffs)), combo
+    return None
+
+
+def check_against_reference(space, coeffs, outsider, budget):
+    ops = space.basis
+    rank = len(ref_rref([flat(op) for op in ops], ops[0].side ** 2)[1])
+    assert space.is_independent() == (rank == len(ops))
+    member = Operator(space.site_dim, space.legs, "rational", tuple(
+        tuple(sum((c * op.rows[i][j] for c, op in zip(coeffs, ops)), Fraction(0))
+              for j in range(ops[0].side))
+        for i in range(ops[0].side)
+    ))
+    for target in (member, outsider):
+        assert membership_coefficients(space, target) == ref_membership(ops, target)
+    found = invertible_certificate(space, budget=budget, seed=3)
+    expected = ref_certificate(ops, budget, seed=3)
+    if expected is None:
+        assert found is None
+    else:
+        assert (found[0], [list(row) for row in found[1].rows]) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(matrices(min_side=4, max_side=4), min_size=1, max_size=5),
+       st.data())
+def test_hand_built_fractional_basis_matches_reference(square, data):
+    ops = [as_operator(rows) for rows in square]
+    if len(ops) > 2 and data.draw(st.booleans()):
+        ops[-1] = Fraction(1, 2) * ops[0] + Fraction(-3, 5) * ops[1]
+    space = SubspaceBasis(4, 1, "rational", tuple(ops))
+    coeffs = data.draw(st.lists(ENTRY, min_size=len(ops), max_size=len(ops)))
+    outsider = as_operator(data.draw(matrices(min_side=4, max_side=4)))
+    check_against_reference(space, coeffs, outsider, budget=data.draw(st.integers(1, 4)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(min_side=4, max_side=4), st.data())
+def test_reloaded_solver_basis_matches_reference(rows, data):
+    solved = r_symmetric_space(Operator.from_rows(2, 2, rows), 2)
+    reloaded = subspace_from_obj(subspace_to_obj(solved))
+    assert reloaded == solved
+    coeffs = data.draw(st.lists(ENTRY, min_size=solved.dimension,
+                                max_size=solved.dimension))
+    outsider = Operator.from_rows(2, 2, data.draw(matrices(min_side=4, max_side=4)))
+    budget = data.draw(st.integers(1, 4))
+    for space in (solved, reloaded):
+        check_against_reference(space, coeffs, outsider, budget)
 
 
 def test_dependent_basis_is_reported():
