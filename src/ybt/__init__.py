@@ -58,11 +58,9 @@ from .twist_engine import (
     invert_pair,
 )
 from .ybe_check import (
-    RMatrix,
     braid_matrix,
     mixed_ybe_residual,
     rtt_residual,
-    verify_r,
     ybe_residual,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "Operator",
     "RATIONAL",
-    "RMatrix",
     "SubspaceBasis",
     "TwistPair",
     "apply_twist",
@@ -117,6 +114,5 @@ __all__ = [
     "rtt_residual",
     "swap",
     "te1_residual",
-    "verify_r",
     "ybe_residual",
 ]

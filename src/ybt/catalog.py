@@ -21,8 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CatalogError, SingularOperatorError
-from .factorized import check_split_A, check_split_B
+from .errors import CatalogError, FormatError, SingularOperatorError
+from .factorized import (
+    check_split_A,
+    check_split_B,
+    pair_from_split_A,
+    pair_from_split_B,
+)
 from .formats import (
     operator_from_obj,
     operator_to_obj,
@@ -97,18 +102,6 @@ def diagonal_f(values) -> Operator:
     return Operator.from_rows(2, 2, rows)
 
 
-def _split_a_pair(f: Operator) -> TwistPair:
-    from .factorized import pair_from_split_A
-
-    return pair_from_split_A(f)
-
-
-def _split_b_pair(r: Operator, f: Operator) -> TwistPair:
-    from .factorized import pair_from_split_B
-
-    return pair_from_split_B(r, f)
-
-
 def _build(name: str, params: dict[str, Fraction]) -> CatalogEntry:
     if name == "identity":
         return CatalogEntry("identity", identity(2, 2), identity_pair(2), "none", {})
@@ -118,16 +111,22 @@ def _build(name: str, params: dict[str, Fraction]) -> CatalogEntry:
         q = params["q"]
         r = six_vertex_r(q)
         f = diagonal_f([1, 2, Fraction(1, 2), 1])
-        return CatalogEntry("six_vertex", r, _split_a_pair(f), "split_A", dict(params))
+        return CatalogEntry(
+            "six_vertex", r, pair_from_split_A(f), "split_A", dict(params)
+        )
     if name == "diag_twist":
         q, s, t = params["q"], params["s"], params["t"]
         r = six_vertex_r(q)
         f = diagonal_f([1, s, t, 1])
-        return CatalogEntry("diag_twist", r, _split_a_pair(f), "split_A", dict(params))
+        return CatalogEntry(
+            "diag_twist", r, pair_from_split_A(f), "split_A", dict(params)
+        )
     if name == "jordanian":
         r = identity(2, 2)
         f = jordanian_f(params["xi"])
-        return CatalogEntry("jordanian", r, _split_b_pair(r, f), "split_B", dict(params))
+        return CatalogEntry(
+            "jordanian", r, pair_from_split_B(r, f), "split_B", dict(params)
+        )
     raise CatalogError(f"unknown catalog entry {name!r}")
 
 
@@ -201,8 +200,6 @@ def entry_to_obj(entry: CatalogEntry) -> dict:
 
 
 def entry_from_obj(obj, where: str = "entry") -> CatalogEntry:
-    from .errors import FormatError
-
     if not isinstance(obj, dict):
         raise FormatError("catalog entry must be an object", where)
     missing = {"name", "params", "regime", "r", "twist"} - obj.keys()

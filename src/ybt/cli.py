@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .errors import CatalogError, FormatError, YbtError
+from .errors import CatalogError, FormatError, SizeCapError, YbtError
 from .factorized import (
     check_split_A,
     check_split_B,
@@ -29,6 +29,7 @@ from .factorized import (
 )
 from .formats import (
     canonical_dumps,
+    certificate_to_obj,
     components_from_obj,
     load_json,
     load_operator,
@@ -49,7 +50,6 @@ from .twist_engine import (
     apply_twist,
     aux_identity_residual,
     check_pair,
-    magnitude_ok,
 )
 from .ybe_check import ybe_residual
 
@@ -128,222 +128,117 @@ def _resolve_components(ref: str, needed_legs: int) -> dict:
     return components_from_obj(load_json(ref), str(ref))
 
 
-def _write_or_embed(args, outputs: dict, key: str, obj: dict):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(pretty_dumps(obj))
+def _write_or_embed(args, outputs: dict, key: str | None, to_obj, value) -> dict:
+    """Write ``to_obj(value)`` to the ``-o`` file, else embed it under ``key``.
+
+    With ``key`` None the object is only ever written, never embedded.
+    """
+    if args.out:
+        Path(args.out).write_text(pretty_dumps(to_obj(value)))
         outputs["path"] = str(args.out)
-    else:
-        outputs[key] = obj
+    elif key is not None:
+        outputs[key] = to_obj(value)
+    return outputs
+
+
+def _check_leg_cap(what: str, legs: int, max_legs: int):
+    if legs > max_legs:
+        raise SizeCapError(f"{what} on {legs} legs is above the cap {max_legs}")
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (report dict, verdict)
+# handlers: each returns (CheckReport, outputs); dispatch builds the report
 # ---------------------------------------------------------------------------
+
+_NO_CHECKS = CheckReport({}, True, None, ())
 
 
 def _cmd_verify_ybe(args):
     r = resolve_r(args.r)
-    res = ybe_residual(r)
-    verdict = magnitude_ok(res, r.backend, args.tol)
-    report = {
-        "command": "verify-ybe",
-        "inputs": {"r": args.r},
-        "residuals": {"ybe": _residual_json(res)},
-        "verdict": verdict,
-    }
-    return report, verdict
+    return CheckReport.build({"ybe": ybe_residual(r)}, r.backend, args.tol), {}
 
 
 def _cmd_twist(args):
     r = resolve_r(args.r)
-    f = resolve_f(args.f)
-    twisted = apply_twist(r, f)
-    res = ybe_residual(twisted)
-    outputs: dict = {}
-    _write_or_embed(args, outputs, "operator", operator_to_obj(twisted))
-    report = {
-        "command": "twist",
-        "inputs": {"r": args.r, "f": args.f},
-        "residuals": {"ybe_r_twisted": _residual_json(res)},
-        "verdict": True,
-        "outputs": outputs,
-        "notes": ["the twisted-matrix YBE residual is informational here"],
-    }
-    return report, True
+    twisted = apply_twist(r, resolve_f(args.f))
+    report = CheckReport.build(
+        {"ybe_r_twisted": ybe_residual(twisted)}, r.backend, args.tol, gates=(),
+        notes=("the twisted-matrix YBE residual is informational here",),
+    )
+    return report, _write_or_embed(args, {}, "operator", operator_to_obj, twisted)
 
 
 def _cmd_check_pair(args):
     r = resolve_r(args.r)
     pair = resolve_pair(args.pair)
     module_report = check_pair(r, pair, args.tol)
-    aux = aux_identity_residual(r, pair)
-    residuals = dict(module_report.residuals)
-    residuals["aux"] = aux
-    verdict = CheckReport.build(
-        residuals, r.backend, args.tol, gates=("cond1", "cond2", "cond3", "aux")
-    ).verdict
-    report = {
-        "command": "check-pair",
-        "inputs": {"r": args.r, "pair": args.pair},
-        "residuals": {k: _residual_json(v) for k, v in residuals.items()},
-        "verdict": verdict,
-        "notes": [*module_report.notes, "verdict gates on cond1, cond2, cond3, aux"],
-    }
-    return report, verdict
+    residuals = {**module_report.residuals, "aux": aux_identity_residual(r, pair)}
+    report = CheckReport.build(
+        residuals, r.backend, args.tol, gates=("cond1", "cond2", "cond3", "aux"),
+        notes=(*module_report.notes, "verdict gates on cond1, cond2, cond3, aux"),
+    )
+    return report, {}
 
 
 def _cmd_check_split(args):
-    r = resolve_r(args.r)
-    f = resolve_f(args.f)
     check = check_split_A if args.variant == "A" else check_split_B
-    module_report = check(r, f, args.tol)
-    report = {
-        "command": "check-split",
-        "inputs": {"r": args.r, "f": args.f, "variant": args.variant},
-        "residuals": {
-            k: _residual_json(v) for k, v in module_report.residuals.items()
-        },
-        "verdict": module_report.verdict,
-    }
-    return report, module_report.verdict
+    return check(resolve_r(args.r), resolve_f(args.f), args.tol), {}
 
 
 def _cmd_fuse(args):
-    r = resolve_r(args.r)
-    fused = fuse_r(r, args.m, args.n, max_legs=args.max_legs)
-    outputs: dict = {}
-    _write_or_embed(args, outputs, "operator", operator_to_obj(fused))
-    report = {
-        "command": "fuse",
-        "inputs": {"r": args.r, "m": args.m, "n": args.n},
-        "residuals": {},
-        "verdict": True,
-        "outputs": outputs,
-    }
-    return report, True
+    fused = fuse_r(resolve_r(args.r), args.m, args.n, max_legs=args.max_legs)
+    return _NO_CHECKS, _write_or_embed(args, {}, "operator", operator_to_obj, fused)
 
 
 def _cmd_rsym(args):
     r = resolve_r(args.r)
-    cap = r.site_dim**args.max_legs
-    basis = r_symmetric_space(r, args.n, size_cap=cap)
-    outputs: dict = {"dimension": basis.dimension}
-    _write_or_embed(args, outputs, "subspace", subspace_to_obj(basis))
-    report = {
-        "command": "rsym",
-        "inputs": {"r": args.r, "n": args.n},
-        "residuals": {},
-        "verdict": True,
-        "outputs": outputs,
-    }
-    return report, True
+    basis = r_symmetric_space(r, args.n, size_cap=r.site_dim**args.max_legs)
+    outputs = {"dimension": basis.dimension}
+    _write_or_embed(args, outputs, "subspace", subspace_to_obj, basis)
+    return _NO_CHECKS, outputs
 
 
 def _cmd_intertwine(args):
     r = resolve_r(args.r)
     s = resolve_r(args.s)
-    cap = r.site_dim**args.max_legs
-    basis = intertwiner_space(r, s, args.n, size_cap=cap)
+    basis = intertwiner_space(r, s, args.n, size_cap=r.site_dim**args.max_legs)
     found = invertible_certificate(basis, budget=args.budget, seed=args.seed)
-    outputs: dict = {"dimension": basis.dimension}
-    notes = []
+    outputs = {"dimension": basis.dimension}
+    notes = ()
     if found is None:
-        verdict = False
-        notes.append(
+        notes = (
             f"no invertible certificate found within budget {args.budget}; "
-            "this is not a proof that none exists"
+            "this is not a proof that none exists",
         )
     else:
-        verdict = True
-        coefficients, _ = found
-        outputs["certificate"] = {"coefficients": [str(c) for c in coefficients]}
-    if getattr(args, "out", None):
-        Path(args.out).write_text(pretty_dumps(subspace_to_obj(basis)))
-        outputs["path"] = str(args.out)
-    report = {
-        "command": "intertwine",
-        "inputs": {
-            "r": args.r,
-            "s": args.s,
-            "n": args.n,
-            "budget": args.budget,
-            "seed": args.seed,
-        },
-        "residuals": {},
-        "verdict": verdict,
-        "outputs": outputs,
-    }
-    if notes:
-        report["notes"] = notes
-    return report, verdict
+        outputs["certificate"] = certificate_to_obj(found[0])
+    _write_or_embed(args, outputs, None, subspace_to_obj, basis)
+    return CheckReport({}, found is not None, None, (), notes), outputs
 
 
 def _cmd_omega(args):
-    f = resolve_f(args.f)
-    if args.n > args.max_legs:
-        from .errors import SizeCapError
-
-        raise SizeCapError(
-            f"omega on {args.n} legs is above the cap {args.max_legs}"
-        )
+    _check_leg_cap("omega", args.n, args.max_legs)
     build = omega_split_A if args.variant == "A" else omega_split_B
-    omega = build(f, args.n)
-    outputs: dict = {}
-    _write_or_embed(args, outputs, "operator", operator_to_obj(omega))
-    report = {
-        "command": "omega",
-        "inputs": {"f": args.f, "n": args.n, "variant": args.variant},
-        "residuals": {},
-        "verdict": True,
-        "outputs": outputs,
-    }
-    return report, True
+    omega = build(resolve_f(args.f), args.n)
+    return _NO_CHECKS, _write_or_embed(args, {}, "operator", operator_to_obj, omega)
 
 
 def _cmd_te1(args):
     needed = args.m + args.n + args.k
+    _check_leg_cap("te1", needed, args.max_legs)
     components = _resolve_components(args.components, needed)
     res = te1_residual(components, args.m, args.n, args.k)
     backend = next(iter(components.values())).backend if components else RATIONAL
-    verdict = magnitude_ok(res, backend, args.tol)
-    report = {
-        "command": "te1",
-        "inputs": {
-            "components": args.components,
-            "m": args.m,
-            "n": args.n,
-            "k": args.k,
-        },
-        "residuals": {"te1": _residual_json(res)},
-        "verdict": verdict,
-    }
-    return report, verdict
+    return CheckReport.build({"te1": res}, backend, args.tol), {}
 
 
 def _cmd_catalog_list(args):
-    report = {
-        "command": "catalog-list",
-        "inputs": {},
-        "residuals": {},
-        "verdict": True,
-        "outputs": {"names": catalog.names()},
-    }
-    return report, True
+    return _NO_CHECKS, {"names": catalog.names()}
 
 
 def _cmd_catalog_get(args):
-    name, params = _parse_catalog_ref("catalog:" + args.name)
-    entry = catalog.get(name, params)
-    outputs: dict = {}
-    _write_or_embed(args, outputs, "entry", catalog.entry_to_obj(entry))
-    report = {
-        "command": "catalog-get",
-        "inputs": {"name": args.name},
-        "residuals": {},
-        "verdict": True,
-        "outputs": outputs,
-    }
-    return report, True
+    entry = _resolve_entry("catalog:" + args.name)
+    return _NO_CHECKS, _write_or_embed(args, {}, "entry", catalog.entry_to_obj, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +356,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# parsed arguments that are not a subcommand's own inputs
+_NOT_INPUTS = frozenset(
+    ("tol", "max_legs", "json", "quiet", "out", "func", "command", "catalog_command")
+)
+
+
+def _envelope(args, report: CheckReport, outputs: dict) -> dict:
+    """The one report shape every subcommand prints."""
+    command = args.command
+    if command == "catalog":
+        command = f"catalog-{args.catalog_command}"
+    envelope = {
+        "command": command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+        "residuals": {k: _residual_json(v) for k, v in report.residuals.items()},
+        "verdict": report.verdict,
+    }
+    if outputs:
+        envelope["outputs"] = outputs
+    if report.notes:
+        envelope["notes"] = list(report.notes)
+    return envelope
+
+
 def dispatch(argv=None) -> int:
     """Run one CLI invocation; returns the process exit code."""
     try:
@@ -469,26 +388,21 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
-        report, verdict = args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except YbtError as exc:
+        report = _envelope(args, *args.func(args))
+    except (FileNotFoundError, YbtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
     sys.stdout.write(canonical_dumps(report))
     if not args.quiet:
-        state = "ok" if verdict else "FAILED"
-        shown = ", ".join(
-            f"{k}={v}" for k, v in report.get("residuals", {}).items()
-        )
+        state = "ok" if report["verdict"] else "FAILED"
+        shown = ", ".join(f"{k}={v}" for k, v in report["residuals"].items())
         tail = f" [{shown}]" if shown else ""
         print(
             f"{report['command']}: {state} in {elapsed:.3f}s{tail}",
             file=sys.stderr,
         )
-    return 0 if verdict else 1
+    return 0 if report["verdict"] else 1
 
 
 def main():

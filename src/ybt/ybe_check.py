@@ -7,36 +7,8 @@ an unconditional certificate on the rational backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeMismatchError
-from .tensor_core import (
-    DEFAULT_TOLERANCE,
-    RATIONAL,
-    Operator,
-    embed,
-    residual,
-    swap,
-)
-
-
-@dataclass(frozen=True)
-class RMatrix:
-    """A two-leg operator with an advisory flag recording a passed YBE check.
-
-    The flag is never load-bearing: operations re-validate their own
-    preconditions, since file-loaded matrices cannot be trusted.
-    """
-
-    op: Operator
-    verified: bool = False
-
-
-def verify_r(op: Operator, tol: float = DEFAULT_TOLERANCE) -> RMatrix:
-    """Run the YBE check and wrap the operator with the resulting flag."""
-    res = ybe_residual(op)
-    ok = res == 0 if op.backend == RATIONAL else res < tol
-    return RMatrix(op, ok)
+from .tensor_core import Operator, embed, residual, swap
 
 
 def _require_legs(x: Operator, legs: int, name: str):

@@ -12,7 +12,7 @@ from jsonschema import Draft202012Validator
 from ybt import cli
 from ybt.cli import dispatch
 from ybt.formats import load_operator, operator_to_obj, pretty_dumps, save_operator
-from ybt import apply_twist, catalog, fuse_r, identity
+from ybt import Operator, apply_twist, catalog, fuse_r, identity
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ybt" / "data" / "report.schema.json"
 VALIDATOR = Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -169,6 +169,26 @@ def test_te1_with_component_file(capsys, tmp_path):
     assert code == 0 and report["residuals"]["te1"] == "0"
 
 
+def test_te1_refuses_legs_over_the_cap(capsys):
+    # 7 legs against the default cap of 6
+    code, out, err = run(capsys, "te1", "catalog:jordanian", "-m", 3, "-n", 2, "-k", 2)
+    assert code == 2 and out == ""
+    assert "te1 on 7 legs is above the cap 6" in err
+    # refused before the components are resolved: the file is never opened
+    code, out, err = run(
+        capsys, "te1", "missing.json", "-m", 2, "-n", 1, "-k", 1, "--max-legs", 3
+    )
+    assert code == 2 and out == ""
+    assert "te1 on 4 legs is above the cap 3" in err
+
+
+def test_te1_at_the_cap_still_runs(capsys):
+    code, report, _ = run_json(
+        capsys, "te1", "catalog:jordanian", "-m", 1, "-n", 1, "-k", 1, "--max-legs", 3
+    )
+    assert code == 0 and report["residuals"]["te1"] == "0"
+
+
 def test_catalog_list_and_get(capsys):
     code, report, _ = run_json(capsys, "catalog", "list")
     assert code == 0
@@ -292,3 +312,109 @@ def test_intertwine_file_and_stdout_are_pinned(capsys, tmp_path):
     assert sha256(out.replace(str(tmp_path), "<tmp>")) == (
         "d7e2651f056c46c97d80e427cd8b69101f773b1ced2df6d0df5547848ce407d3"
     )
+
+
+# Every subcommand's stdout (and -o file) pinned byte for byte, the temp dir
+# masked as <tmp>.  Each case: argv with "{tmp}" for the temp dir, the exit
+# code, the sha256 of stdout and the sha256 of "{tmp}/out.json" when -o is given.
+PINNED = {
+    "verify_ybe": (
+        ("verify-ybe", "catalog:six_vertex"), 0,
+        "2da31617bda13447923b7147132323017127207220986dcf7f15a73e44bd0bf0",
+        None),
+    "verify_ybe_fail": (
+        ("verify-ybe", "{tmp}/bad.json"), 1,
+        "b2e075617e8d96a1ab702b3fb747cf9996132b9271d43ef2ba4ef28d494cf176",
+        None),
+    "twist": (
+        ("twist", "catalog:identity", "catalog:jordanian"), 0,
+        "4182660eda245aaf38207cefae91b4cfa2608f2d77983e8c9111e32cea09dd0c",
+        None),
+    "twist_out": (
+        ("twist", "catalog:identity", "catalog:jordanian", "-o", "{tmp}/out.json"),
+        0,
+        "c7ad01bf4f588e2a9cd02771497dd722f765bc80bb6a4dfdb08780e7f709f270",
+        "28a48d872b2c5188327c2e397c8242615dd69eed1132e72ada5dfb792c1f387d"),
+    "check_pair_catalog": (
+        ("check-pair", "catalog:identity", "--pair", "catalog:jordanian"), 0,
+        "5abadbfd46cf391940e9f426132ea06abde6e95113189083ed8888521a78cbd4",
+        None),
+    "check_pair_files": (
+        ("check-pair", "catalog:identity", "--pair", "{tmp}/f.json,{tmp}/g.json"),
+        0,
+        "9d35e1f4804a5363d47f7dac310dbb1b9484df0504b390f19faf11ccb2c1a0e2",
+        None),
+    "check_pair_fail": (
+        ("check-pair", "catalog:six_vertex", "--pair", "catalog:jordanian"), 1,
+        "c52c735ddcbcc7003e3e061d24bb26e82b23d7a71bc5ecda0f4e10004a779e25",
+        None),
+    "check_split_A": (
+        ("check-split", "catalog:six_vertex", "catalog:six_vertex", "--variant", "A"),
+        0,
+        "31dca7382da304fa55bc501b4e7a102e1697779bdd3342cd5f4e070f499da803",
+        None),
+    "check_split_B": (
+        ("check-split", "catalog:identity", "catalog:jordanian", "--variant", "B"),
+        0,
+        "b9c5fd25c02b19d34bd48a30a449f1f73030f8521bfe0018ccc528e31139b5bc",
+        None),
+    "check_split_A_fail": (
+        ("check-split", "catalog:identity", "catalog:jordanian", "--variant", "A"),
+        1,
+        "8f25d39a475578058da42718cce0ba901928b45c4ef6df47f673b4132f875445",
+        None),
+    "fuse": (
+        ("fuse", "catalog:six_vertex", "-m", "2", "-n", "1"), 0,
+        "cd1cf3f1e82fdcdf81ae37c35cc846f80456709136774bf2cb951fbde961ce65",
+        None),
+    "fuse_out": (
+        ("fuse", "catalog:six_vertex", "-m", "2", "-n", "1", "-o", "{tmp}/out.json"),
+        0,
+        "ab37253287e52f7bf8b41567c81f948e5cbac8e9062a0b5686b295c7cbce9b83",
+        "f11bc761f1d87651e2d97e6229b83fa687aa46bfb1f214d471b4bd6ac4236fd7"),
+    "omega": (
+        ("omega", "catalog:jordanian", "-n", "3", "--variant", "B"), 0,
+        "0f83260ad42afc025ace88b20aa91b4ec8fcc33248f8fd1b9b8ffb626e470eef",
+        None),
+    "omega_out": (
+        ("omega", "catalog:jordanian", "-n", "3", "--variant", "B",
+         "-o", "{tmp}/out.json"), 0,
+        "ea322b19ea6b668686b1b57ee4be6cc984ec9fd69c8ff4b52ff708b55ce47ec8",
+        "e2eb26ab308585a8079f306c6cf7e5b02e3b4d26ce8b0da27fe141c483e420b3"),
+    "te1": (
+        ("te1", "catalog:jordanian", "-m", "2", "-n", "1", "-k", "1"), 0,
+        "0590cacab9331f00db4b4e9dc70b737ed5ff419dcfdc7e009f027ae21d8705eb",
+        None),
+    "catalog_list": (
+        ("catalog", "list"), 0,
+        "8a74c786a5021c4b34198a6741794ea6fa8263fc500d0d5eac0b7e46e091e72f",
+        None),
+    "catalog_get": (
+        ("catalog", "get", "six_vertex?q=5/2"), 0,
+        "43e7ef59c3f3302d2b3ca3c908496e4f37e4a03b085fdf4d79a689f46ae41434",
+        None),
+    "catalog_get_out": (
+        ("catalog", "get", "six_vertex?q=5/2", "-o", "{tmp}/out.json"), 0,
+        "0f19ad6ec4c4ad2aea3d7e160eb9561a8f81b2d1b6dd964286e68da1010a9f5c",
+        "fb761787ac2480b962f20342e5a45c53cf75ee6ed5ae08c96ac123636bfe5b4e"),
+    "intertwine_no_certificate": (
+        ("intertwine", "catalog:identity", "catalog:perm", "-n", "2", "--budget", "3"),
+        1,
+        "62ef48086fa432d0b83c0d2fe920c0cc7b46f9a458480231e2fa1870b6fdd272",
+        None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_stdout_and_files_are_pinned(capsys, tmp_path, label):
+    entry = catalog.get("jordanian")
+    save_operator(entry.twist.f, tmp_path / "f.json")
+    save_operator(entry.twist.g, tmp_path / "g.json")
+    rows = [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    save_operator(Operator.from_rows(2, 2, rows), tmp_path / "bad.json")
+    argv, expected, stdout_sha, file_sha = PINNED[label]
+    code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv), "--quiet")
+    assert code == expected
+    assert sha256(out.replace(str(tmp_path), "<tmp>")) == stdout_sha
+    if file_sha is not None:
+        assert sha256((tmp_path / "out.json").read_bytes()) == file_sha

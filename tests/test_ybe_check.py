@@ -7,6 +7,8 @@ import random
 import pytest
 
 from ybt import (
+    COMPLEX64,
+    CheckReport,
     apply_twist,
     braid_matrix,
     embed,
@@ -17,7 +19,6 @@ from ybt import (
     residual,
     rtt_residual,
     swap,
-    verify_r,
     ybe_residual,
 )
 from ybt.errors import ShapeMismatchError
@@ -117,14 +118,6 @@ def test_rtt_recovers_second_split_condition(jordanian_entry):
     assert rtt_residual(r_twisted, f) == 0
 
 
-def test_verify_r_sets_the_flag(six_vertex_entry):
-    rng = random.Random(113)
-    good = verify_r(six_vertex_entry.r)
-    assert good.verified
-    bad = verify_r(rand_invertible(rng, legs=2))
-    assert not bad.verified
-
-
 def test_higher_site_dimensions():
     # the library's target scale goes beyond qubits
     assert ybe_residual(swap(3)) == 0
@@ -135,7 +128,7 @@ def test_higher_site_dimensions():
 
 
 def complex_operator(op):
-    from ybt import COMPLEX64, Operator
+    from ybt import Operator
 
     rows = [[complex(float(v), 0.0) for v in row] for row in op.rows]
     return Operator.from_rows(op.site_dim, op.legs, rows, backend=COMPLEX64)
@@ -152,10 +145,10 @@ def test_complex_verdicts_respect_the_tolerance(six_vertex_entry):
     rc = complex_operator(six_vertex_entry.r)
     rows = [list(row) for row in rc.rows]
     rows[1][2] += 1e-12
-    from ybt import COMPLEX64, Operator
+    from ybt import Operator
 
     nudged = Operator.from_rows(2, 2, rows, backend=COMPLEX64)
     res = ybe_residual(nudged)
     assert 0 < res < 1e-9
-    assert verify_r(nudged).verified
-    assert not verify_r(nudged, tol=1e-15).verified
+    assert CheckReport.build({"ybe": res}, COMPLEX64, 1e-9).verdict
+    assert not CheckReport.build({"ybe": res}, COMPLEX64, 1e-15).verdict
