@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .errors import CatalogError, FormatError, SizeCapError, YbtError
+from .errors import CatalogError, FormatError, ShapeMismatchError, SizeCapError, YbtError
 from .factorized import (
     check_split_A,
     check_split_B,
@@ -105,7 +105,8 @@ def resolve_pair(ref: str) -> TwistPair:
     return TwistPair(load_operator(f_path), load_operator(g_path))
 
 
-def _resolve_components(ref: str, needed_legs: int) -> dict:
+def _resolve_components(ref: str, m: int, n: int, k: int) -> dict:
+    """The components te1_residual(m, n, k) reads; zero indices stay implicit."""
     if ref.startswith("catalog:"):
         entry = _resolve_entry(ref)
         if entry.regime == "split_A":
@@ -117,14 +118,16 @@ def _resolve_components(ref: str, needed_legs: int) -> dict:
                 f"catalog entry {entry.name!r} has no split regime to build "
                 "components from"
             )
+        if min(m, n, k) < 0:  # before any omega is built: the cap sums the indices
+            raise ShapeMismatchError("indices must be non-negative")
+        pairs = ((m + n, k), (m, n), (m, n + k), (n, k))
+        wanted = sorted({(a, b) for a, b in pairs if a > 0 and b > 0})
+        if not wanted and m + n + k >= 2:
+            wanted = [(1, 1)]  # all identities; F^{1,1} only fixes site_dim and backend
+        legs = sorted({j for a, b in wanted for j in (a, b, a + b) if j >= 2})
         f = entry.twist.f
-        omegas = {j: build(f, j) for j in range(2, needed_legs + 1)}
-        components = {}
-        for m in range(needed_legs + 1):
-            for n in range(needed_legs + 1 - m):
-                if m and n:
-                    components[(m, n)] = f_components_from_omega(omegas, m, n)
-        return components
+        omegas = {j: build(f, j) for j in legs}
+        return {(a, b): f_components_from_omega(omegas, a, b) for a, b in wanted}
     return components_from_obj(load_json(ref), str(ref))
 
 
@@ -226,7 +229,7 @@ def _cmd_omega(args):
 def _cmd_te1(args):
     needed = args.m + args.n + args.k
     _check_leg_cap("te1", needed, args.max_legs)
-    components = _resolve_components(args.components, needed)
+    components = _resolve_components(args.components, args.m, args.n, args.k)
     res = te1_residual(components, args.m, args.n, args.k)
     backend = next(iter(components.values())).backend if components else RATIONAL
     return CheckReport.build({"te1": res}, backend, args.tol), {}

@@ -27,8 +27,10 @@ from .tensor_core import (
     Scalar,
     _back_substitute,
     _eliminate,
+    _from_flat,
     _integerize,
     _primitive,
+    _to_flat,
     determinant,
     embed,
     leg_permute,
@@ -84,14 +86,10 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-def _vectorize(op: Operator) -> dict[int, Fraction]:
-    side = op.side
-    return {
-        i * side + j: v
-        for i, row in enumerate(op.rows)
-        for j, v in enumerate(row)
-        if v
-    }
+def _vectorize(op: Operator) -> dict[int, Scalar]:
+    """Exact nonzero entries of `op` by row-major index, read off its storage."""
+    flat, den = _to_flat(op), op.den
+    return flat if den == 1 else {k: Fraction(v, den) for k, v in flat.items()}
 
 
 def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[int, int]]:
@@ -143,24 +141,8 @@ def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
             raise YbtError("kernel vector fails its system")
 
 
-def _devectorize(vec: dict[int, int], site_dim: int, legs: int) -> Operator:
-    side = site_dim**legs
-    zero = Fraction(0)
-    rows: dict[int, list[Fraction]] = {}
-    for idx, v in vec.items():
-        i, j = divmod(idx, side)
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = [zero] * side
-        row[j] = Fraction(v)
-    zero_row = (zero,) * side
-    return Operator(site_dim, legs, RATIONAL, tuple(
-        tuple(rows[i]) if i in rows else zero_row for i in range(side)
-    ))
-
-
 def _solved_basis(site_dim: int, legs: int, vectors: list[dict[int, int]]) -> SubspaceBasis:
-    ops = tuple(_devectorize(v, site_dim, legs) for v in vectors)
+    ops = tuple(_from_flat(site_dim, legs, 1, v) for v in vectors)
     basis = SubspaceBasis(site_dim, legs, RATIONAL, ops)
     # seed the cached property: the kernel vectors are the exact entries
     basis.__dict__["vectors"] = tuple(vectors)
@@ -183,19 +165,18 @@ def _require_exact(op: Operator, what: str):
 def _commutation_equations(b_left: Operator, b_right: Operator) -> list[dict[int, int]]:
     """Integer rows of D (B_left Z - Z B_right) = 0 over vec(Z).
 
-    D is the common denominator of both braid matrices, so no row needs
-    rational arithmetic; a positive scale leaves the solution set alone.
+    D is the common denominator of both braid matrices, so the stored
+    integer entries only need scaling; a positive scale leaves the
+    solution set alone.
     """
     side = b_left.side
-    rows_nz = [[(c, v) for c, v in enumerate(row) if v] for row in b_left.rows]
-    cols_nz: list[list[tuple[int, Fraction]]] = [[] for _ in range(side)]
-    for c, row in enumerate(b_right.rows):
-        for b, v in enumerate(row):
-            if v:
-                cols_nz[b].append((c, v))
-    den = math.lcm(*(v.denominator for nz in (*rows_nz, *cols_nz) for _, v in nz))
-    left = [[(c, v.numerator * (den // v.denominator)) for c, v in nz] for nz in rows_nz]
-    right = [[(c, v.numerator * (den // v.denominator)) for c, v in nz] for nz in cols_nz]
+    den = math.lcm(b_left.den, b_right.den)
+    sl, sr = den // b_left.den, den // b_right.den
+    left = [[(c, sl * v) for c, v in row] for row in b_left.entries]
+    right: list[list[tuple[int, int]]] = [[] for _ in range(side)]
+    for c, row in enumerate(b_right.entries):
+        for b, v in row:
+            right[b].append((c, sr * v))
     eqs = []
     for a in range(side):
         for b in range(side):
@@ -350,9 +331,11 @@ def invertible_certificate(
     _require_exact(basis.basis[0], "invertible_certificate")
     rng = random.Random(seed)
     d = basis.dimension
-    side = basis.basis[0].side
-    entries = [tuple(vec.items()) for vec in basis.vectors]
-    zero = Fraction(0)
+    # sum c_i B_i in ints, over the common denominator of the elements
+    den = math.lcm(*(op.den for op in basis.basis))
+    entries = [
+        [(k, v * (den // op.den)) for k, v in _to_flat(op).items()] for op in basis.basis
+    ]
     for attempt in range(budget):
         if attempt == 0:
             coeffs = [1] * d
@@ -361,18 +344,12 @@ def invertible_certificate(
             coeffs = [rng.randint(-bound, bound) for _ in range(d)]
         if not any(coeffs):
             continue
-        acc = [0] * (side * side)
+        acc: dict[int, int] = {}
         for c, nonzero in zip(coeffs, entries):
             if c:
                 for k, v in nonzero:
-                    acc[k] += c * v
-        exact = [Fraction(v) if v else zero for v in acc]
-        combo = Operator(
-            basis.site_dim,
-            basis.legs,
-            RATIONAL,
-            tuple(tuple(exact[i * side:(i + 1) * side]) for i in range(side)),
-        )
+                    acc[k] = acc.get(k, 0) + c * v
+        combo = _from_flat(basis.site_dim, basis.legs, den, acc)
         if determinant(combo) != 0:
             return tuple(Fraction(c) for c in coeffs), combo
     return None

@@ -1,20 +1,27 @@
-"""Exact dense operators on tensor powers of one site space.
+"""Exact sparse operators on tensor powers of one site space.
 
 An :class:`Operator` is a square matrix acting on V x ... x V (``legs``
-factors, each of dimension ``site_dim``), stored dense and row-major over
-the lexicographic multi-index basis (i1..in), leftmost index slowest.
+factors, each of dimension ``site_dim``), indexed row-major over the
+lexicographic multi-index basis (i1..in), leftmost index slowest.  Only
+nonzero entries are stored: each row is a tuple of (column, value) pairs
+in column order, and entry (i, j) is value / ``den`` for one common
+denominator ``den``.
 
-Two scalar backends exist.  ``rational`` keeps every entry as an exact
-``fractions.Fraction`` and is the reference semantics: residuals of
-identities that hold are exactly zero.  ``complex64`` keeps entries as
-double-precision complex pairs for user-supplied numeric matrices and is
-judged against a tolerance (default 1e-9).  Backends never mix silently.
+Two scalar backends exist.  ``rational`` is the reference semantics: the
+values are ints over one positive denominator that shares no factor with
+all of them, so the stored form of a matrix is unique, and residuals of
+identities that hold are exactly zero.  ``complex64`` keeps
+double-precision complex values over ``den = 1`` for user-supplied numeric
+matrices and is judged against a tolerance (default 1e-9).  Both backends
+run through the same sparse kernels, and they never mix silently.
+``Operator.rows`` is the dense view (``Fraction`` or ``complex`` entries),
+built on first access and cached.
 
-Exact linear algebra on the rational backend rests on one kernel: rows
-are scaled to integers and reduced by fraction-free, content-stripped
-sparse elimination (``_eliminate``), optionally followed by one reduced
-echelon pass (``_back_substitute``).  Inverses, determinants, ranks and
-the null spaces of ``subspace_solver`` all come from it.
+Exact linear algebra on the rational backend rests on one kernel: integer
+rows are reduced by fraction-free, content-stripped sparse elimination
+(``_eliminate``), optionally followed by one reduced echelon pass
+(``_back_substitute``).  Inverses, determinants, ranks and the null spaces
+of ``subspace_solver`` all come from it.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import product as _iproduct
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
@@ -38,14 +46,18 @@ BACKENDS = (RATIONAL, COMPLEX64)
 DEFAULT_TOLERANCE = 1e-9
 
 Scalar = Fraction | complex
+#: A stored row: (column, value) pairs of the nonzero entries, columns ascending.
+Row = tuple[tuple[int, int | complex], ...]
+
+# stored values: int numerators (rational) or complex numbers
+_VALUE_ZERO = {RATIONAL: 0, COMPLEX64: 0j}
+_VALUE_ONE = {RATIONAL: 1, COMPLEX64: 1 + 0j}
 
 
-def _zero(backend: str) -> Scalar:
-    return Fraction(0) if backend == RATIONAL else complex(0)
-
-
-def _one(backend: str) -> Scalar:
-    return Fraction(1) if backend == RATIONAL else complex(1)
+@cache
+def _zero_row(backend: str, side: int) -> tuple[Scalar, ...]:
+    """The dense all-zero row, shared by every dense view of that side."""
+    return (Fraction(0) if backend == RATIONAL else complex(0),) * side
 
 
 def as_scalar(value, backend: str) -> Scalar:
@@ -67,9 +79,26 @@ def as_scalar(value, backend: str) -> Scalar:
     raise BackendMismatchError(f"unknown backend {backend!r}")
 
 
-@dataclass(frozen=True)
+def _check_space(site_dim: int, legs: int, backend: str):
+    if site_dim < 1:
+        raise ShapeMismatchError(f"site_dim must be positive, got {site_dim}")
+    if legs < 0:
+        raise ShapeMismatchError(f"legs must be non-negative, got {legs}")
+    if backend not in BACKENDS:
+        raise BackendMismatchError(f"unknown backend {backend!r}")
+
+
+@dataclass(frozen=True, init=False)
 class Operator:
-    """Dense square matrix on ``legs`` tensor factors of dimension ``site_dim``.
+    """Square matrix on ``legs`` tensor factors of dimension ``site_dim``.
+
+    ``entries[i]`` holds the nonzero entries of row i as (column, value)
+    pairs in column order, and entry (i, j) equals value / ``den``.  On the
+    rational backend the values are ints and ``den`` is the smallest
+    positive common denominator; on the complex backend the values are
+    complex and ``den`` is 1.  The stored form is unique, so equality and
+    hashing compare it field by field.  The constructor takes dense rows,
+    which ``rows`` gives back.
 
     ``legs = 0`` denotes a pure scalar (a 1x1 matrix); the unit of the
     0-leg space is ``identity(site_dim, 0)``.  Instances are immutable and
@@ -79,31 +108,77 @@ class Operator:
     site_dim: int
     legs: int
     backend: str
-    rows: tuple[tuple[Scalar, ...], ...]
+    den: int
+    entries: tuple[Row, ...]
 
-    def __post_init__(self):
-        if self.site_dim < 1:
-            raise ShapeMismatchError(f"site_dim must be positive, got {self.site_dim}")
-        if self.legs < 0:
-            raise ShapeMismatchError(f"legs must be non-negative, got {self.legs}")
-        if self.backend not in BACKENDS:
-            raise BackendMismatchError(f"unknown backend {self.backend!r}")
-        side = self.site_dim**self.legs
-        if len(self.rows) != side or any(len(r) != side for r in self.rows):
+    def __init__(self, site_dim: int, legs: int, backend: str, rows):
+        """Build from dense rows, coercing every entry to the backend's scalar type."""
+        _check_space(site_dim, legs, backend)
+        side = site_dim**legs
+        rows = [tuple(row) for row in rows]
+        if len(rows) != side or any(len(r) != side for r in rows):
             raise ShapeMismatchError(
                 f"entries must form a {side}x{side} matrix for "
-                f"site_dim={self.site_dim}, legs={self.legs}"
+                f"site_dim={site_dim}, legs={legs}"
             )
+        if backend == RATIONAL:
+            nonzero = []
+            for row in rows:
+                nz = []
+                for j, v in enumerate(row):
+                    if type(v) is not Fraction and type(v) is not int:
+                        v = as_scalar(v, backend)  # coerces, or rejects
+                    n = v.numerator
+                    if n:
+                        nz.append((j, n, v.denominator))
+                nonzero.append(nz)
+            # over the lcm of reduced denominators no factor is common to all
+            den = math.lcm(*(d for row in nonzero for _, _, d in row))
+            entries = tuple(tuple((j, n * (den // d)) for j, n, d in row) for row in nonzero)
+        else:
+            den = 1
+            entries = tuple(
+                tuple((j, v) for j, v in enumerate(as_scalar(v, backend) for v in row) if v)
+                for row in rows
+            )
+        _fill(self, site_dim, legs, backend, den, entries)
 
     @property
     def side(self) -> int:
         return self.site_dim**self.legs
 
+    @cached_property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense rows of ``Fraction`` (or ``complex``) entries, built once.
+
+        Zero rows of one side share one tuple, and equal rational entries
+        of one operator share one ``Fraction``.
+        """
+        side, den = self.side, self.den
+        exact = self.backend == RATIONAL
+        zero_row = _zero_row(self.backend, side)
+        zero = zero_row[0]
+        fractions: dict[int, Fraction] = {}
+        dense = []
+        for row in self.entries:
+            if not row:
+                dense.append(zero_row)
+                continue
+            out = [zero] * side
+            for j, v in row:
+                if exact:
+                    f = fractions.get(v)
+                    if f is None:
+                        f = fractions[v] = Fraction(v, den)
+                    v = f
+                out[j] = v
+            dense.append(tuple(out))
+        return tuple(dense)
+
     @classmethod
     def from_rows(cls, site_dim: int, legs: int, rows, backend: str = RATIONAL) -> Operator:
-        """Build an operator, coercing every entry to the backend's scalar type."""
-        frozen = tuple(tuple(as_scalar(v, backend) for v in row) for row in rows)
-        return cls(site_dim, legs, backend, frozen)
+        """Build an operator from dense rows, coercing every entry to the backend."""
+        return cls(site_dim, legs, backend, rows)
 
     def __repr__(self):  # full rows are huge; keep the repr scannable
         return (
@@ -113,28 +188,79 @@ class Operator:
 
     def __matmul__(self, other: Operator) -> Operator:
         _check_same_space(self, other)
-        return Operator(self.site_dim, self.legs, self.backend,
-                        _matmul_rows(self.rows, other.rows, _zero(self.backend)))
+        zero = _VALUE_ZERO[self.backend]
+        right = other.entries
+        out = []
+        for arow in self.entries:
+            if len(arow) == 1:  # a scaled copy of one row of `other`
+                k, a = arow[0]
+                out.append(right[k] if a == 1 else tuple([(j, a * b) for j, b in right[k]]))
+            elif not arow:
+                out.append(())
+            else:
+                acc: dict = {}
+                get = acc.get
+                for k, a in arow:
+                    for j, b in right[k]:
+                        acc[j] = get(j, zero) + a * b
+                out.append(tuple([kv for kv in sorted(acc.items()) if kv[1]]))
+        return _finish(self.site_dim, self.legs, self.backend, self.den * other.den, out)
 
     def __add__(self, other: Operator) -> Operator:
-        _check_same_space(self, other)
-        rows = tuple(tuple(x + y for x, y in zip(ra, rb))
-                     for ra, rb in zip(self.rows, other.rows))
-        return Operator(self.site_dim, self.legs, self.backend, rows)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: Operator) -> Operator:
-        _check_same_space(self, other)
-        rows = tuple(tuple(x - y for x, y in zip(ra, rb))
-                     for ra, rb in zip(self.rows, other.rows))
-        return Operator(self.site_dim, self.legs, self.backend, rows)
+        return _combine(self, other, -1)
 
     def __rmul__(self, scalar) -> Operator:
         c = as_scalar(scalar, self.backend)
-        rows = tuple(tuple(c * v for v in row) for row in self.rows)
-        return Operator(self.site_dim, self.legs, self.backend, rows)
+        if self.backend == RATIONAL:
+            num, den = c.numerator, self.den * c.denominator
+        else:
+            num, den = c, 1
+        if not num:
+            return _make(self.site_dim, self.legs, self.backend, 1, ((),) * self.side)
+        rows = [tuple([(j, num * v) for j, v in row]) for row in self.entries]
+        return _finish(self.site_dim, self.legs, self.backend, den, rows)
 
     def __neg__(self) -> Operator:
         return (-1) * self if self.backend == RATIONAL else (-1.0) * self
+
+
+def _fill(op: Operator, site_dim: int, legs: int, backend: str, den: int, entries):
+    # the fields of a frozen instance, set once at construction
+    vars(op).update(site_dim=site_dim, legs=legs, backend=backend, den=den, entries=entries)
+
+
+def _make(site_dim: int, legs: int, backend: str, den: int, entries) -> Operator:
+    """Wrap stored entries that are already in their unique form, unchecked."""
+    op = object.__new__(Operator)
+    _fill(op, site_dim, legs, backend, den, entries)
+    return op
+
+
+def _finish(site_dim: int, legs: int, backend: str, den: int, rows) -> Operator:
+    """Bring kernel output to the unique stored form and wrap it.
+
+    Rational: divide ``den`` and every value by their common factor.
+    Complex: drop values that rounded to zero and add ``0j`` to the rest,
+    which turns a signed zero part into +0.0 exactly as a dense sum that
+    starts from ``0j`` would.
+    """
+    if backend == RATIONAL:
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            if row:
+                g = math.gcd(g, *[v for _, v in row])
+        if g != 1:
+            den //= g
+            rows = [tuple([(j, v // g) for j, v in row]) for row in rows]
+        return _make(site_dim, legs, backend, den, tuple(rows))
+    return _make(site_dim, legs, backend, 1, tuple(
+        tuple([(j, v + 0j) for j, v in row if v]) for row in rows
+    ))
 
 
 def _check_same_space(a: Operator, b: Operator):
@@ -147,40 +273,54 @@ def _check_same_space(a: Operator, b: Operator):
         )
 
 
-def _matmul_rows(arows, brows, zero):
-    # Dense product that skips exact zeros; catalog matrices are sparse
-    # enough that this dominates no acceptance budget.
-    side = len(brows[0])
-    bnz = [tuple((j, v) for j, v in enumerate(row) if v) for row in brows]
-    out = []
-    for arow in arows:
-        acc = [zero] * side
-        for k, a in enumerate(arow):
-            if not a:
-                continue
-            for j, b in bnz[k]:
-                acc[j] = acc[j] + a * b
-        out.append(tuple(acc))
-    return tuple(out)
+def _combine(a: Operator, b: Operator, sign: int) -> Operator:
+    """a + sign * b, merged row by row over the common denominator."""
+    _check_same_space(a, b)
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    zero = _VALUE_ZERO[a.backend]
+    rows = []
+    for ra, rb in zip(a.entries, b.entries):
+        acc = dict(ra) if sa == 1 else {j: sa * v for j, v in ra}
+        for j, v in rb:
+            acc[j] = acc.get(j, zero) + sb * v
+        rows.append(tuple(sorted(kv for kv in acc.items() if kv[1])))
+    return _finish(a.site_dim, a.legs, a.backend, den, rows)
+
+
+def _to_flat(op: Operator) -> dict[int, int | complex]:
+    """Stored values of `op` by row-major index: entry (i, j) is flat[i * side + j] / den."""
+    side = op.side
+    return {i * side + j: v for i, row in enumerate(op.entries) for j, v in row}
+
+
+def _from_flat(site_dim: int, legs: int, den: int, flat: dict[int, int]) -> Operator:
+    """Rational operator with entry flat[i * side + j] / den at (i, j)."""
+    side = site_dim**legs
+    rows: list[list] = [[] for _ in range(side)]
+    for idx in sorted(flat):
+        v = flat[idx]
+        if v:
+            i, j = divmod(idx, side)
+            rows[i].append((j, v))
+    return _finish(site_dim, legs, RATIONAL, den, [tuple(row) for row in rows])
 
 
 def identity(site_dim: int, legs: int, backend: str = RATIONAL) -> Operator:
     """Identity on ``legs`` factors; ``legs = 0`` gives the scalar unit."""
-    side = site_dim**legs
-    one, zero = _one(backend), _zero(backend)
-    rows = tuple(tuple(one if i == j else zero for j in range(side)) for i in range(side))
-    return Operator(site_dim, legs, backend, rows)
+    _check_space(site_dim, legs, backend)
+    one = _VALUE_ONE[backend]
+    return _make(site_dim, legs, backend, 1,
+                 tuple(((i, one),) for i in range(site_dim**legs)))
 
 
 def swap(site_dim: int, backend: str = RATIONAL) -> Operator:
     """The two-leg permutation operator P: P(v x w) = w x v."""
-    side = site_dim * site_dim
-    zero, one = _zero(backend), _one(backend)
-    rows = [[zero] * side for _ in range(side)]
-    for i in range(site_dim):
-        for j in range(site_dim):
-            rows[i * site_dim + j][j * site_dim + i] = one
-    return Operator(site_dim, 2, backend, tuple(tuple(r) for r in rows))
+    _check_space(site_dim, 2, backend)
+    one = _VALUE_ONE[backend]
+    return _make(site_dim, 2, backend, 1, tuple(
+        ((j * site_dim + i, one),) for i in range(site_dim) for j in range(site_dim)
+    ))
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -189,23 +329,13 @@ def kron(a: Operator, b: Operator) -> Operator:
         raise BackendMismatchError(f"backend mismatch: {a.backend} vs {b.backend}")
     if a.site_dim != b.site_dim:
         raise ShapeMismatchError(f"site_dim mismatch: {a.site_dim} vs {b.site_dim}")
-    da, db = a.side, b.side
-    zero = _zero(a.backend)
-    rows = [[zero] * (da * db) for _ in range(da * db)]
-    for i in range(da):
-        arow = a.rows[i]
-        for j in range(da):
-            v = arow[j]
-            if not v:
-                continue
-            for k in range(db):
-                brow = b.rows[k]
-                out = rows[i * db + k]
-                for l in range(db):
-                    w = brow[l]
-                    if w:
-                        out[j * db + l] = v * w
-    return Operator(a.site_dim, a.legs + b.legs, a.backend, tuple(tuple(r) for r in rows))
+    db = b.side
+    rows = [
+        tuple([(j * db + l, v * w) for j, v in arow for l, w in brow])
+        for arow in a.entries
+        for brow in b.entries
+    ]
+    return _finish(a.site_dim, a.legs + b.legs, a.backend, a.den * b.den, rows)
 
 
 def _digits(idx: int, base: int, n: int) -> list[int]:
@@ -245,23 +375,18 @@ def leg_permute(x: Operator, sigma) -> Operator:
         for k in range(n):
             nd[sigma[k] - 1] = ds[k]
         table[a] = _index(nd, N)
-    zero = _zero(x.backend)
-    rows = [[zero] * side for _ in range(side)]
-    for a in range(side):
-        xrow = x.rows[a]
-        out = rows[table[a]]
-        for b in range(side):
-            v = xrow[b]
-            if v:
-                out[table[b]] = v
-    return Operator(N, n, x.backend, tuple(tuple(r) for r in rows))
+    rows: list[Row] = [()] * side
+    for a, row in enumerate(x.entries):
+        rows[table[a]] = tuple(sorted([(table[b], v) for b, v in row]))
+    return _make(N, n, x.backend, x.den, tuple(rows))
 
 
 def embed(x: Operator, slots, total_legs: int) -> Operator:
     """Let `x` act on the named legs (factor t on slots[t]), identity elsewhere.
 
     Equals leg_permute(kron(x, identity), sigma) for the sigma sending the
-    leading legs to `slots` and filling the rest monotonically.
+    leading legs to `slots` and filling the rest monotonically.  Costs one
+    copy per stored entry of the result.
     """
     slots = list(slots)
     if len(set(slots)) != len(slots):
@@ -277,29 +402,37 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
         sum(d * stride[s] for d, s in zip(combo, rest))
         for combo in _iproduct(range(N), repeat=len(rest))
     ]
-    side = N**total_legs
-    zero = _zero(x.backend)
-    rows = [[zero] * side for _ in range(side)]
-    for a in range(x.side):
-        da = _digits(a, N, x.legs)
-        base_row = sum(d * stride[s] for d, s in zip(da, slots))
-        xrow = x.rows[a]
-        for b in range(x.side):
-            v = xrow[b]
-            if not v:
-                continue
-            db = _digits(b, N, x.legs)
-            base_col = sum(d * stride[s] for d, s in zip(db, slots))
-            for off in rest_offsets:
-                rows[base_row + off][base_col + off] = v
-    return Operator(N, total_legs, x.backend, tuple(tuple(r) for r in rows))
+    # where index a of the slotted legs lands, the other legs at 0
+    pos = [sum(d * stride[s] for d, s in zip(_digits(a, N, x.legs), slots))
+           for a in range(x.side)]
+    rows: list[Row] = [()] * N**total_legs
+    for a, row in enumerate(x.entries):
+        moved = sorted([(pos[b], v) for b, v in row])
+        base = pos[a]
+        for off in rest_offsets:
+            rows[base + off] = tuple([(c + off, v) for c, v in moved])
+    return _make(N, total_legs, x.backend, x.den, tuple(rows))
 
 
 def residual(x: Operator, y: Operator):
-    """Max absolute entry of x - y; exact Fraction on the rational backend."""
+    """Max absolute entry of x - y; exact Fraction on the rational backend.
+
+    Rows are compared over the common denominator; a row stored equally in
+    both (same denominator) is skipped.
+    """
     _check_same_space(x, y)
-    worst = max(abs(v - w) for rx, ry in zip(x.rows, y.rows) for v, w in zip(rx, ry))
-    return worst if x.backend == RATIONAL else float(worst)
+    den = math.lcm(x.den, y.den)
+    sx, sy = den // x.den, den // y.den
+    zero = _VALUE_ZERO[x.backend]
+    worst = 0
+    for rx, ry in zip(x.entries, y.entries):
+        if sx == sy and rx == ry:
+            continue
+        diff = dict(rx) if sx == 1 else {j: sx * v for j, v in rx}
+        for j, w in ry:
+            diff[j] = diff.get(j, zero) - (w if sy == 1 else sy * w)
+        worst = max(worst, max(map(abs, diff.values()), default=0))
+    return Fraction(worst, den) if x.backend == RATIONAL else float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -373,38 +506,39 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     return reduced
 
 
-def _augmented_pivots(x: Operator) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """Eliminate the integer rows of [M x | I], M the diagonal of row multipliers."""
+def _augmented_pivots(x: Operator) -> dict[int, dict[int, int]]:
+    """Eliminate the integer rows of [X | I], where x = X / den."""
     side = x.side
-    rows, mults = [], []
-    for i, xrow in enumerate(x.rows):
-        ints, m = _integerize({j: v for j, v in enumerate(xrow) if v})
+    rows = []
+    for i, row in enumerate(x.entries):
+        ints = dict(row)
         ints[side + i] = 1
         rows.append(ints)
-        mults.append(m)
-    return _eliminate(rows), mults
+    return _eliminate(rows)
 
 
 def _invert_rational(x: Operator) -> Operator:
-    side = x.side
-    pivots, mults = _augmented_pivots(x)
+    side, den = x.side, x.den
+    pivots = _augmented_pivots(x)
     rank = sum(1 for c in pivots if c < side)
     if rank < side:
         raise SingularOperatorError(side, rank)
-    # reduced row i is [p_i e_i | B_i] with B_i / p_i row i of (M x)^-1,
-    # and x^-1 = (M x)^-1 M
+    # reduced row i is [p_i e_i | B_i] with B_i / p_i row i of X^-1, and
+    # x^-1 = den X^-1: row i is den B_i / p_i, over q_i = p_i / gcd(p_i, den)
     reduced = _back_substitute(pivots)
-    zero = Fraction(0)
-    rows = []
+    scales = []
     for i in range(side):
-        row = reduced[i]
-        p = row[i]
-        out = [zero] * side
-        for j, v in row.items():
-            if j >= side:
-                out[j - side] = Fraction(v * mults[j - side], p)
-        rows.append(tuple(out))
-    return Operator(x.site_dim, x.legs, RATIONAL, tuple(rows))
+        p = reduced[i][i]
+        g = math.gcd(p, den)
+        scales.append((den // g, p // g))
+    common = math.lcm(*(q for _, q in scales))
+    rows = []
+    for i, (s, q) in enumerate(scales):
+        f = s * (common // q)
+        rows.append(tuple(sorted(
+            (j - side, v * f) for j, v in reduced[i].items() if j >= side
+        )))
+    return _finish(x.site_dim, x.legs, RATIONAL, common, rows)
 
 
 def _invert_complex(x: Operator) -> Operator:
@@ -462,17 +596,17 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    pivots, mults = _augmented_pivots(x)
+    pivots = _augmented_pivots(x)
     if any(c not in pivots for c in range(side)):
         return Fraction(0)
-    # The pivot rows are [U | L] with U = L M x upper triangular.  The row
-    # for pivot c descends from input row origin[c], the last column its
+    # The pivot rows are [U | L] with U = L X upper triangular.  The row for
+    # pivot c descends from input row origin[c], the last column its
     # identity part touches, so L is a row permutation of a lower-triangular
-    # matrix and det x = sign * prod(diag U) / prod(diag L) / prod(M).
+    # matrix and det x = sign * prod(diag U) / prod(diag L) / den^side.
     origin = [max(pivots[c]) - side for c in range(side)]
-    num, den = 1, 1
+    num, den = 1, x.den**side
     for c, i in enumerate(origin):
         num *= pivots[c][c]
-        den *= pivots[c][side + i] * mults[i]
+        den *= pivots[c][side + i]
     inversions = sum(a > b for k, a in enumerate(origin) for b in origin[k + 1:])
     return Fraction(-num if inversions % 2 else num, den)

@@ -182,11 +182,43 @@ def test_te1_refuses_legs_over_the_cap(capsys):
     assert "te1 on 4 legs is above the cap 3" in err
 
 
+def test_te1_refuses_negative_indices_before_building(capsys, monkeypatch):
+    built = []
+    for name in ("omega_split_A", "omega_split_B"):
+        monkeypatch.setattr(cli, name, lambda f, j: built.append(j))
+    monkeypatch.setattr(cli, "f_components_from_omega", lambda *a: built.append(a))
+    # m + n + k = 0 passes the leg cap, but (n, k) = (10, 10) would need omega_20
+    code, out, err = run(
+        capsys, "te1", "catalog:jordanian", "-m", -20, "-n", 10, "-k", 10
+    )
+    assert code == 2 and out == ""
+    assert "indices must be non-negative" in err
+    assert built == []
+
+
 def test_te1_at_the_cap_still_runs(capsys):
     code, report, _ = run_json(
         capsys, "te1", "catalog:jordanian", "-m", 1, "-n", 1, "-k", 1, "--max-legs", 3
     )
     assert code == 0 and report["residuals"]["te1"] == "0"
+
+
+def test_te1_builds_only_the_components_it_reads(capsys, monkeypatch):
+    built = []
+    original = cli.f_components_from_omega
+
+    def counted(omegas, m, n):
+        built.append((m, n))
+        return original(omegas, m, n)
+
+    monkeypatch.setattr(cli, "f_components_from_omega", counted)
+    code, report, _ = run_json(
+        capsys, "te1", "catalog:jordanian", "-m", 2, "-n", 2, "-k", 2
+    )
+    assert code == 0 and report["residuals"]["te1"] == "0"
+    # te1_residual(2, 2, 2) reads F^{4,2}, F^{2,2} (twice) and F^{2,4}
+    assert len(built) <= 4
+    assert sorted(built) == [(2, 2), (2, 4), (4, 2)]
 
 
 def test_catalog_list_and_get(capsys):

@@ -1,9 +1,13 @@
-"""The integer elimination kernel against a naive Fraction Gauss-Jordan.
+"""The exact kernels against naive dense references.
 
 Inverse, determinant, the rank carried by SingularOperatorError, and the
 null spaces behind r_symmetric_space and membership_coefficients all come
 from one fraction-free elimination.  The reference below shares no code
-with it: plain Gauss-Jordan over Fraction, written for clarity only.
+with it: plain Gauss-Jordan over Fraction, written for clarity only.  The
+sparse operator kernels (products, sums, Kronecker products, leg
+permutations, embeddings, residuals) are checked on both backends against
+dense list arithmetic, and every way of building an operator must give
+the same stored form.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ from ybt import (
     SubspaceBasis,
     braid_matrix,
     determinant,
+    embed,
     invert,
     invertible_certificate,
+    kron,
+    leg_permute,
     membership_coefficients,
     r_symmetric_space,
+    residual,
 )
 from ybt.errors import SingularOperatorError
 from ybt.formats import subspace_from_obj, subspace_to_obj
@@ -320,6 +328,290 @@ def test_reloaded_solver_basis_matches_reference(rows, data):
 def test_dependent_basis_is_reported():
     op = as_operator([[1, 2], [3, 4]])
     assert not SubspaceBasis(2, 1, "rational", (op, Fraction(-3, 2) * op)).is_independent()
+
+
+# ---------------------------------------------------------------------------
+# the sparse storage kernels against dense references
+# ---------------------------------------------------------------------------
+#
+# Each reference works on plain lists of dense rows.  Complex entries are
+# small Gaussian integers, so every sum and product of the kernels is exact
+# there too, and both backends are compared with ==.
+
+
+def ref_matmul(a, b, zero):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b))] for i in range(len(a))]
+
+
+def ref_kron(a, b):
+    db = len(b)
+    return [[a[i // db][j // db] * b[i % db][j % db] for j in range(len(a) * db)]
+            for i in range(len(a) * db)]
+
+
+def multi_index(idx, site_dim, legs):
+    out = []
+    for _ in range(legs):
+        idx, d = divmod(idx, site_dim)
+        out.append(d)
+    return out[::-1]
+
+
+def flat_index(digits, site_dim):
+    idx = 0
+    for d in digits:
+        idx = idx * site_dim + d
+    return idx
+
+
+def ref_leg_permute(x, site_dim, legs, sigma):
+    """Entry (i, j) of x lands at (tau i, tau j); tau puts digit k on leg sigma[k]."""
+    def tau(idx):
+        ds = multi_index(idx, site_dim, legs)
+        moved = [0] * legs
+        for k, s in enumerate(sigma):
+            moved[s - 1] = ds[k]
+        return flat_index(moved, site_dim)
+
+    side = len(x)
+    out = [[None] * side for _ in range(side)]
+    for i in range(side):
+        for j in range(side):
+            out[tau(i)][tau(j)] = x[i][j]
+    return out
+
+
+def ref_embed(x, site_dim, slots, total, zero):
+    """x on `slots`, identity on the other legs, entry by entry."""
+    legs = len(slots)
+    rest = [s for s in range(1, total + 1) if s not in slots]
+    side = site_dim**total
+    out = []
+    for i in range(side):
+        di = multi_index(i, site_dim, total)
+        row = []
+        for j in range(side):
+            dj = multi_index(j, site_dim, total)
+            if any(di[s - 1] != dj[s - 1] for s in rest):
+                row.append(zero)
+                continue
+            a = flat_index([di[s - 1] for s in slots], site_dim)
+            b = flat_index([dj[s - 1] for s in slots], site_dim)
+            row.append(x[a][b])
+        out.append(row)
+    return out
+
+
+def g_det(rows):
+    """Exact determinant of a Gaussian-integer matrix, over Gaussian rationals."""
+    m = [[(Fraction(v.real), Fraction(v.imag)) for v in row] for row in rows]
+    n, det = len(m), (Fraction(1), Fraction(0))
+
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def div(p, q):
+        norm = q[0] * q[0] + q[1] * q[1]
+        return mul(p, (q[0] / norm, -q[1] / norm))
+
+    for k in range(n):
+        piv = next((i for i in range(k, n) if any(m[i][k])), None)
+        if piv is None:
+            return 0j
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = (-det[0], -det[1])
+        det = mul(det, m[k][k])
+        for i in range(k + 1, n):
+            f = div(m[i][k], m[k][k])
+            m[i] = [(v[0] - w[0], v[1] - w[1]) for v, w in
+                    ((v, mul(f, w)) for v, w in zip(m[i], m[k]))]
+    return complex(float(det[0]), float(det[1]))
+
+
+RATIONAL_ENTRY = st.one_of(st.just(Fraction(0)), ENTRY)
+COMPLEX_ENTRY = st.one_of(
+    st.just(0j), st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+)
+ENTRIES = {"rational": RATIONAL_ENTRY, "complex64": COMPLEX_ENTRY}
+ZERO = {"rational": Fraction(0), "complex64": 0j}
+BACKEND = st.sampled_from(["rational", "complex64"])
+# (site_dim, legs) with side at most 9
+SPACE = st.sampled_from([(1, 0), (2, 0), (3, 0), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+
+
+def dense_rows(draw, backend, side):
+    entry = ENTRIES[backend]
+    return [[draw(entry) for _ in range(side)] for _ in range(side)]
+
+
+def checked_rows(op):
+    """op.rows, after checking the stored form the kernels must produce.
+
+    Every row lists nonzero values under strictly ascending columns; the
+    rational backend keeps ints over a positive denominator sharing no
+    factor with all of them, the complex backend a denominator of 1.
+    """
+    for row in op.entries:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(v for _, v in row)
+    values = [v for row in op.entries for _, v in row]
+    if op.backend == "rational":
+        assert all(type(v) is int for v in values)
+        assert op.den > 0 and math.gcd(op.den, *values) == 1
+    else:
+        assert op.den == 1
+    return op.rows
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two dense row lists on one random space and backend, with the operators."""
+    backend = draw(BACKEND)
+    site_dim, legs = draw(SPACE)
+    side = site_dim**legs
+    a, b = dense_rows(draw, backend, side), dense_rows(draw, backend, side)
+    if draw(st.booleans()):  # share some rows, so equal rows show up in residual
+        b = [ra if draw(st.booleans()) else rb for ra, rb in zip(a, b)]
+    return backend, a, b, Operator(site_dim, legs, backend, a), Operator(site_dim, legs, backend, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.sampled_from([2, -1, Fraction(-3, 4), Fraction(0)]))
+def test_arithmetic_matches_dense_reference(pair, scalar):
+    backend, a, b, x, y = pair
+    zero = ZERO[backend]
+    assert checked_rows(x @ y) == tuple(map(tuple, ref_matmul(a, b, zero)))
+    assert checked_rows(x + y) == tuple(
+        tuple(v + w for v, w in zip(ra, rb)) for ra, rb in zip(a, b))
+    assert checked_rows(x - y) == tuple(
+        tuple(v - w for v, w in zip(ra, rb)) for ra, rb in zip(a, b))
+    assert checked_rows(-x) == tuple(tuple(-v for v in row) for row in a)
+    c = scalar if backend == "rational" else complex(scalar)
+    assert checked_rows(c * x) == tuple(tuple(c * v for v in row) for row in a)
+    worst = max(abs(v - w) for ra, rb in zip(a, b) for v, w in zip(ra, rb))
+    got = residual(x, y)
+    if backend == "rational":
+        assert got == worst and isinstance(got, Fraction)
+    else:
+        assert got == float(worst) and isinstance(got, float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.data())
+def test_tensor_kernels_match_dense_reference(pair, data):
+    backend, a, b, x, y = pair
+    site_dim, legs = x.site_dim, x.legs
+    assert checked_rows(x) == tuple(map(tuple, a))
+    assert checked_rows(kron(x, y)) == tuple(map(tuple, ref_kron(a, b)))
+    sigma = data.draw(st.permutations(range(1, legs + 1)))
+    assert checked_rows(leg_permute(x, sigma)) == tuple(
+        map(tuple, ref_leg_permute(a, site_dim, legs, sigma)))
+    total = data.draw(st.integers(legs, 3 if site_dim > 1 else 4))
+    slots = data.draw(st.permutations(range(1, total + 1)))[:legs]
+    assert checked_rows(embed(x, slots, total)) == tuple(
+        map(tuple, ref_embed(a, site_dim, slots, total, ZERO[backend])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs())
+def test_invert_and_determinant_match_reference_on_both_backends(pair):
+    backend, a, _, x, _ = pair
+    side = len(a)
+    if backend == "rational":
+        assert determinant(x) == ref_det(a)
+        if ref_det(a):
+            identity_block = [[Fraction(int(i == j)) for j in range(side)] for i in range(side)]
+            reduced, _ = ref_rref([r + e for r, e in zip(a, identity_block)], 2 * side)
+            assert checked_rows(invert(x)) == tuple(tuple(row[side:]) for row in reduced)
+        return
+    exact = g_det(a)
+    assert abs(determinant(x) - exact) <= 1e-9 * max(1.0, abs(exact))
+    if abs(exact) >= 1:  # a nonzero Gaussian-integer determinant
+        product = ref_matmul(a, [list(row) for row in invert(x).rows], 0j)
+        assert all(abs(product[i][j] - (i == j)) < 1e-9
+                   for i in range(side) for j in range(side))
+
+
+# ---------------------------------------------------------------------------
+# one stored form: equality, hashing and the dense view
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rational_operators(draw):
+    site_dim, legs = draw(SPACE)
+    side = site_dim**legs
+    return Operator(site_dim, legs, "rational", dense_rows(draw, "rational", side))
+
+
+def routes(x):
+    """The same matrix built from dense rows, from from_rows and by kernels."""
+    site_dim, legs = x.site_dim, x.legs
+    unit = ybt.identity(site_dim, legs)
+    yield Operator(site_dim, legs, "rational", x.rows)
+    yield Operator.from_rows(site_dim, legs, [list(row) for row in x.rows])
+    yield unit @ x
+    yield x @ unit
+    yield x + (x - x)
+    yield Fraction(1, 3) * (3 * x)
+    yield -(-x)
+    yield leg_permute(x, range(1, legs + 1))
+    yield embed(x, range(1, legs + 1), legs)
+    yield kron(ybt.identity(site_dim, 0), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_operators())
+def test_every_route_gives_one_stored_form(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *(v for row in x.entries for _, v in row)) == 1
+    for other in routes(x):
+        assert other == x and hash(other) == hash(x)
+        assert (other.den, other.entries) == (x.den, x.entries)
+
+
+@pytest.mark.parametrize("site_dim, legs", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_zero_and_scalar_operators_have_one_stored_form(site_dim, legs):
+    side = site_dim**legs
+    x = Operator.from_rows(site_dim, legs, [[Fraction(k + 1, 4) for k in range(side)]] * side)
+    zeros = [
+        Operator(site_dim, legs, "rational", [[Fraction(0)] * side] * side),
+        Operator.from_rows(site_dim, legs, [[0] * side] * side),
+        x - x,
+        0 * x,
+        x @ Operator.from_rows(site_dim, legs, [[0] * side] * side),
+    ]
+    for z in zeros:
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+        assert (z.den, z.entries) == (1, ((),) * side)
+    scalars = [
+        Operator(site_dim, 0, "rational", [[Fraction(3, 4)]]),
+        Operator.from_rows(site_dim, 0, [[Fraction(6, 8)]]),
+        Fraction(3, 4) * ybt.identity(site_dim, 0),
+        kron(Operator.from_rows(site_dim, 0, [[Fraction(3, 2)]]),
+             Operator.from_rows(site_dim, 0, [[Fraction(1, 2)]])),
+        ybt.identity(site_dim, 0) - Fraction(1, 4) * ybt.identity(site_dim, 0),
+    ]
+    for s in scalars:
+        assert s == scalars[0] and hash(s) == hash(scalars[0])
+        assert (s.den, s.entries) == (4, (((0, 3),),))
+    assert len({*zeros, *scalars}) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs())
+def test_dense_rows_round_trip(pair):
+    backend, a, _, x, _ = pair
+    assert x.rows == tuple(map(tuple, a))
+    assert x.rows is x.rows  # built once, then cached
+    scalar = Fraction if backend == "rational" else complex
+    assert all(type(v) is scalar for row in x.rows for v in row)
+    again = Operator(x.site_dim, x.legs, backend, x.rows)
+    assert again == x and again.rows == x.rows
+    assert repr(again) == (f"Operator(site_dim={x.site_dim}, legs={x.legs}, "
+                           f"backend={backend!r}, side={x.side})")
 
 
 # ---------------------------------------------------------------------------
