@@ -3,7 +3,8 @@
 Machine-readable reports go to standard output (deterministic bytes for
 identical inputs and seed), a one-line human summary with timing goes to
 standard error.  Exit codes: 0 all checks passed, 1 a check failed
-(non-zero residual or no certificate), 2 usage or input error.
+(non-zero residual or no certificate), 2 usage or input error, or a
+resource failure such as running out of memory.
 
 Anywhere a file path is accepted, ``catalog:<name>?<param>=<value>``
 resolves a built-in entry instead: an R slot takes the entry's R-matrix,
@@ -392,11 +393,16 @@ def dispatch(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = _envelope(args, *args.func(args))
+        elapsed = time.perf_counter() - started
+        text = canonical_dumps(report)
     except (FileNotFoundError, YbtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-    sys.stdout.write(canonical_dumps(report))
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
     if not args.quiet:
         state = "ok" if report["verdict"] else "FAILED"
         shown = ", ".join(f"{k}={v}" for k, v in report["residuals"].items())

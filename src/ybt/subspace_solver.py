@@ -2,14 +2,18 @@
 
 The defining relations are linear in the unknown operator Z, vectorized
 row-major.  They are built as sparse integer rows (both braid matrices
-scaled by one common denominator) and solved by the fraction-free integer
-elimination kernel of ``tensor_core`` (forward pass, sparsest rows first,
-then reduced echelon form); every reported basis element is re-verified
-by substitution into its system.  A solved basis keeps its sparse integer
-kernel vectors, so membership tests and certificate searches never read
-the dense operators back.  Deciding whether a computed subspace holds an
-invertible element is done by a seeded randomized search with an explicit
-budget; a miss is evidence, never a proof of non-existence.
+scaled by one common denominator).  Most rows have two terms and only tie
+one unknown to a multiple of another, so a weighted union-find collapses
+the one- and two-term rows first; the longer rows, rewritten over the
+component roots, are solved by the fraction-free integer elimination
+kernel of ``tensor_core`` (forward pass, sparsest rows first, then reduced
+echelon form), and the result is expanded back over every unknown.  Every
+reported basis element is re-verified by substitution into the original
+rows.  A solved basis keeps its sparse integer kernel vectors, so
+membership tests and certificate searches never read the dense operators
+back.  Deciding whether a computed subspace holds an invertible element is
+done by a seeded randomized search with an explicit budget; a miss is
+evidence, never a proof of non-existence.
 """
 
 from __future__ import annotations
@@ -92,16 +96,80 @@ def _vectorize(op: Operator) -> dict[int, Scalar]:
     return flat if den == 1 else {k: Fraction(v, den) for k, v in flat.items()}
 
 
-def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[int, int]]:
-    """Canonical basis of the exact solution set of the integer rows of A x = 0.
+def _collapse(rows: list[dict[int, int]], num_vars: int):
+    """Weighted union-find over the one- and two-term rows.
 
-    Basis vectors are integer, content-free, leading entry positive, one
-    per free column in ascending column order.  The reduced echelon form
-    is unique, so the basis does not depend on the order or positive
-    scaling of the rows; the sparsest rows are eliminated first.
+    A row a x_i + b x_j = 0 makes x_i = (-b/a) x_j; a one-term row zeroes
+    its unknown.  Returns ``(parent, num, den, dead, longer)``: every
+    unknown satisfies x_i = num[i] / den[i] * x_parent[i], where parent[i]
+    is the largest member of its component (a root is its own parent, with
+    ratio 1) and den[i] > 0; ``dead`` holds the roots of components forced
+    to zero (a one-term row, or a cycle whose ratio product is not 1);
+    ``longer`` lists the rows of three or more terms, untouched.
     """
-    int_rows = sorted((row for row in int_rows if row), key=len)
-    reduced = _back_substitute(_eliminate(int_rows))
+    parent = list(range(num_vars))
+    num = [1] * num_vars
+    den = [1] * num_vars
+    dead: set[int] = set()
+    longer = []
+
+    def find(i: int) -> int:
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        # compress from the node next to the root outward
+        n = d = 1
+        for j in reversed(path):
+            n, d = num[j] * n, den[j] * d
+            g = math.gcd(n, d)
+            if g != 1:
+                n, d = n // g, d // g
+            parent[j], num[j], den[j] = i, n, d
+        return i
+
+    for row in rows:
+        if len(row) > 2:
+            longer.append(row)
+            continue
+        if len(row) == 1:
+            dead.add(find(next(iter(row))))
+            continue
+        (i, a), (j, b) = row.items()
+        # most unknowns are a root or hang right under one
+        ri, rj = parent[i], parent[j]
+        if parent[ri] != ri:
+            ri = find(i)
+        if parent[rj] != rj:
+            rj = find(j)
+        # a x_i + b x_j = 0 over the roots, cleared of the positive dens
+        a, b = a * num[i] * den[j], b * num[j] * den[i]
+        if ri == rj:
+            if a + b:
+                dead.add(ri)
+            continue
+        if ri > rj:
+            ri, rj, a, b = rj, ri, b, a
+        # x_ri = (-b / a) x_rj: the smaller root goes under the larger one
+        n, d = (-b, a) if a > 0 else (b, -a)
+        g = math.gcd(n, d)
+        parent[ri], num[ri], den[ri] = rj, n // g, d // g
+        if ri in dead:
+            dead.discard(ri)
+            dead.add(rj)
+    for i, r in enumerate(parent):
+        if parent[r] != r:
+            find(i)
+    return parent, num, den, dead, longer
+
+
+def _echelon_kernel(rows: list[dict[int, int]], columns) -> list[dict[int, int]]:
+    """Kernel of integer rows over `columns` (ascending): one vector per free column.
+
+    Each vector has its last nonzero at its free column and a zero in
+    every other free column; entries are integers, not yet content-free.
+    """
+    reduced = _back_substitute(_eliminate(sorted(rows, key=len)))
     # a reduced row reads p x_c + sum(v x_f) = 0 over free columns f
     free_cols: dict[int, list[tuple[int, int, int]]] = {}
     for c, row in reduced.items():
@@ -109,8 +177,8 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
         for f, v in row.items():
             if f != c:
                 free_cols.setdefault(f, []).append((c, v, p))
-    basis = []
-    for f in range(num_vars):
+    vectors = []
+    for f in columns:
         if f in reduced:
             continue
         terms = free_cols.get(f, ())
@@ -118,6 +186,48 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
         vec = {f: scale}
         for c, v, p in terms:
             vec[c] = -v * scale // p
+        vectors.append(vec)
+    return vectors
+
+
+def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[int, int]]:
+    """Canonical basis of the exact solution set of the integer rows of A x = 0.
+
+    Basis vectors are integer, content-free, leading entry positive, one
+    per free column in ascending column order; a vector's last nonzero is
+    its free column.  The one- and two-term rows are first collapsed by a
+    weighted union-find (`_collapse`): each component of unknowns tied by
+    them is a multiple of its root, its largest member.  The longer rows,
+    substituted onto the live roots, form a small system that the integer
+    kernel eliminates, sparsest rows first; each of its kernel vectors is
+    expanded back over the members of its roots.  Roots keep the order of
+    their largest members, so the expanded vectors are the reduced echelon
+    basis of the whole system, which is unique: the basis does not depend
+    on the order or positive scaling of the rows.  Every vector is then
+    re-verified against the original rows.
+    """
+    int_rows = [row for row in int_rows if row]
+    parent, num, den, dead, longer = _collapse(int_rows, num_vars)
+    members: dict[int, list[int]] = {}
+    for i, r in enumerate(parent):
+        if r not in dead:
+            members.setdefault(r, []).append(i)
+    # substitute x_j = num[j] / den[j] * x_root over the live roots
+    small = []
+    for row in longer:
+        lcm = math.lcm(*(den[j] for j in row))
+        sub: dict[int, int] = {}
+        for j, a in row.items():
+            r = parent[j]
+            if r in members:
+                sub[r] = sub.get(r, 0) + a * num[j] * (lcm // den[j])
+        sub = {r: v for r, v in sub.items() if v}
+        if sub:
+            small.append(_primitive(sub))
+    basis = []
+    for y in _echelon_kernel(small, sorted(members)):
+        lcm = math.lcm(*(den[m] for r in y for m in members[r]))
+        vec = {m: v * num[m] * (lcm // den[m]) for r, v in y.items() for m in members[r]}
         vec = _primitive(vec)
         if vec[min(vec)] < 0:
             vec = {j: -v for j, v in vec.items()}

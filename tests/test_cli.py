@@ -270,6 +270,18 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "catalog", "get", "nope")[0] == 2
 
 
+@pytest.mark.parametrize("stage", ["r_symmetric_space", "canonical_dumps"])
+def test_out_of_memory_exits_two_without_stdout(capsys, monkeypatch, stage):
+    # exit 1 means "a check failed", so a resource failure must not use it
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    code, out, err = run(capsys, "rsym", "catalog:perm", "-n", 2)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

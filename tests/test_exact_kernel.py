@@ -2,9 +2,10 @@
 
 Inverse, determinant, the rank carried by SingularOperatorError, and the
 null spaces behind r_symmetric_space and membership_coefficients all come
-from one fraction-free elimination.  The reference below shares no code
-with it: plain Gauss-Jordan over Fraction, written for clarity only.  The
-sparse operator kernels (products, sums, Kronecker products, leg
+from one fraction-free elimination; the null spaces first collapse their
+one- and two-term rows with a union-find.  The reference below shares no
+code with it: plain Gauss-Jordan over Fraction, written for clarity only.
+The sparse operator kernels (products, sums, Kronecker products, leg
 permutations, embeddings, residuals) are checked on both backends against
 dense list arithmetic, and every way of building an operator must give
 the same stored form.
@@ -207,6 +208,82 @@ def test_kernel_basis_ignores_row_order_and_positive_scale(args, data):
     moved = [{j: s * v for j, v in int_rows[i].items()} for i, s in zip(order, scales)]
     assert _kernel_basis(moved, num_vars) == _kernel_basis(int_rows, num_vars)
     assert _kernel_basis(moved, num_vars) == ref_kernel(rows, num_vars)
+
+
+NONZERO = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def short_row_systems(draw):
+    """(num_vars, integer rows) built mostly from one- and two-term rows.
+
+    Besides random rows of one, two and three terms it plants the shapes
+    the union-find collapse must get right: closed cycles whose ratio
+    product is 1 (consistent) or not (the component is zero), duplicated
+    two-term rows, and three-term rows that shrink to one term or cancel
+    once their unknowns are written through a shared root.
+    """
+    n = draw(st.integers(1, 10))
+    var = st.integers(0, n - 1)
+
+    def distinct(k):
+        return draw(st.lists(var, min_size=k, max_size=k, unique=True))
+
+    rows = []
+    kinds = ["one", "duplicate"] + (["two", "cycle"] if n >= 2 else [])
+    kinds += ["three", "shrink", "cancel"] if n >= 3 else []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "one":
+            rows.append({draw(var): draw(NONZERO)})
+        elif kind == "two":
+            i, j = distinct(2)
+            rows.append({i: draw(NONZERO), j: draw(NONZERO)})
+        elif kind == "duplicate":
+            pairs = [row for row in rows if len(row) == 2]
+            if pairs:
+                s = draw(NONZERO)
+                rows.append({j: s * v for j, v in draw(st.sampled_from(pairs)).items()})
+        elif kind == "cycle":
+            chain = distinct(draw(st.integers(2, min(n, 5))))
+            ratio = Fraction(1)  # x_chain[0] = ratio * x_chain[-1]
+            for i, j in zip(chain, chain[1:]):
+                a, b = draw(NONZERO), draw(NONZERO)
+                rows.append({i: a, j: b})
+                ratio *= Fraction(-b, a)
+            # closing row x_last = (m / ratio) x_first: consistent iff m == 1
+            s, m = draw(NONZERO), draw(st.integers(-3, 3).filter(bool))
+            rows.append({chain[-1]: ratio.numerator * s,
+                         chain[0]: -ratio.denominator * s * m})
+        elif kind == "three":
+            rows.append({j: draw(NONZERO) for j in distinct(3)})
+        elif kind == "shrink":
+            # t (a x_i + b x_j) + e x_k leaves e x_k after the collapse
+            (i, j, k), a, b, t = distinct(3), draw(NONZERO), draw(NONZERO), draw(NONZERO)
+            rows += [{i: a, j: b}, {i: t * a, j: t * b, k: draw(NONZERO)}]
+        else:
+            # a combination of two rows of one component cancels to nothing
+            (i, j, k), t, u = distinct(3), draw(NONZERO), draw(NONZERO)
+            first = {i: draw(NONZERO), j: draw(NONZERO)}
+            second = {j: draw(NONZERO), k: draw(NONZERO)}
+            combo = {i: t * first[i], j: t * first[j] + u * second[j], k: u * second[k]}
+            rows += [first, second, {c: v for c, v in combo.items() if v}]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_row_systems())
+def test_collapsed_kernel_basis_matches_reference(system):
+    num_vars, rows = system
+    dense = [[row.get(j, 0) for j in range(num_vars)] for row in rows]
+    assert _kernel_basis(rows, num_vars) == ref_kernel(dense, num_vars)
+
+
+def test_cycle_with_ratio_not_one_zeroes_only_its_component():
+    # x0 = 2 x1 and x1 = x0 force x0 = x1 = 0; x2 is untouched
+    assert _kernel_basis([{0: 1, 1: -2}, {1: 1, 0: -1}], 3) == [{2: 1}]
+    # the same cycle closed consistently keeps one free direction
+    assert _kernel_basis([{0: 1, 1: -2}, {1: 2, 0: -1}], 3) == [{0: 2, 1: 1}, {2: 1}]
 
 
 def commutation_rows(b):

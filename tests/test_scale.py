@@ -1,18 +1,23 @@
-"""Fused checks at the 8-leg scale target, each answer exact.
+"""Fused checks and commutants past the documented scale, each answer exact.
 
 The mixed Yang-Baxter residual of six_vertex on 8 legs contracts products
 of side 256; the fused swap of site_dim 3 on 6 legs has side 729.  Both are
 compared exactly: a zero residual is the Fraction 0, and the fused swap is
 matched entry for entry against the block swap written out densely here.
+The commutants of identity(3, 2) on 5 legs (59049 unknowns) and of
+six_vertex on 7 legs are checked against closed-form dimensions, and two
+smaller bases are pinned by the sha256 of their kernel vectors.
 """
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from ybt import Operator, catalog, fuse_r, mixed_ybe_residual, swap
+from ybt import Operator, catalog, fuse_r, identity, mixed_ybe_residual, r_symmetric_space, swap
 
 BLOCKS = [(3, 3, 2), (3, 2, 3), (2, 3, 3)]
 
@@ -55,3 +60,36 @@ def test_fused_swap_on_six_legs_is_the_block_swap():
     fused = fuse_r(swap(3), 3, 3)
     assert fused.side == 729
     assert fused == Operator.from_rows(3, 6, block_swap_rows(3, 3, 3))
+
+
+# dim Sym^n(End C^3) = C(9 + n - 1, n): every operator commutes with the swap
+def test_identity_commutant_on_five_legs_of_site_dim_three():
+    assert r_symmetric_space(identity(3, 2), 5, size_cap=243).dimension == comb(13, 8)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_six_vertex_commutant_dimension_follows_its_closed_form(n):
+    space = r_symmetric_space(catalog.get("six_vertex").r, n, size_cap=2**n)
+    assert space.dimension == comb(n + 3, 3)
+
+
+def kernel_digest(space) -> str:
+    """sha256 of the basis vectors, each as its sorted (index, entry) pairs."""
+    vectors = [sorted(vec.items()) for vec in space.vectors]
+    return hashlib.sha256(repr(vectors).encode()).hexdigest()
+
+
+# pinned before two-term rows were collapsed by a union-find; past the CLI
+# pins, which stop at n = 5
+def test_identity_site_dim_three_n4_basis_is_pinned():
+    space = r_symmetric_space(identity(3, 2), 4, size_cap=81)
+    assert kernel_digest(space) == (
+        "d9f00bafc7c2be53b03fc2eeca3a51c8516e487c06b75e42ed42a85c2788828a"
+    )
+
+
+def test_six_vertex_n6_basis_is_pinned():
+    space = r_symmetric_space(catalog.get("six_vertex").r, 6)
+    assert kernel_digest(space) == (
+        "2c14f24d69860f92b1ae7304ebaba7b5467630620a6d7d3fcfa28f0e626afd75"
+    )
