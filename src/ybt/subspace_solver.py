@@ -9,11 +9,15 @@ component roots, are solved by the fraction-free integer elimination
 kernel of ``tensor_core`` (forward pass, sparsest rows first, then reduced
 echelon form), and the result is expanded back over every unknown.  Every
 reported basis element is re-verified by substitution into the original
-rows.  A solved basis keeps its sparse integer kernel vectors, so
-membership tests and certificate searches never read the dense operators
-back.  Deciding whether a computed subspace holds an invertible element is
-done by a seeded randomized search with an explicit budget; a miss is
-evidence, never a proof of non-existence.
+rows, in one sweep over the rows against an index of the basis by unknown.
+A solved basis keeps its sparse integer kernel vectors, so membership tests
+and certificate searches never read the dense operators back.  Membership
+reads each coefficient off a cached reduced echelon form of the basis (a
+solver basis already is one) and then checks the combination exactly.
+Deciding whether a computed subspace holds an invertible element is done
+by a seeded randomized search with an explicit budget; each attempt is
+accepted when its integer rows reach full rank, and a miss is evidence,
+never a proof of non-existence.
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ from .tensor_core import (
     _back_substitute,
     _eliminate,
     _from_flat,
-    _integerize,
     _primitive,
     _to_flat,
-    determinant,
     embed,
     leg_permute,
     residual,
@@ -79,10 +81,51 @@ class SubspaceBasis:
         """
         return tuple(_vectorize(op) for op in self.basis)
 
+    @cached_property
+    def echelon(self) -> tuple[int, dict[int, tuple[dict[int, int], dict[int, int]]]]:
+        """Reduced echelon form of the elements, with the combination behind each row.
+
+        Returns ``(den, rows)``.  ``rows`` maps a pivot entry index c to
+        ``(r, w)``: r is a content-free integer vector whose last nonzero is
+        at c, with a zero at every other pivot, and r equals
+        ``sum(w[i] * den * vectors[i])``, where ``den`` is the common
+        denominator of the elements.  An element in the span of the earlier
+        ones gets no row and appears in no ``w``.  A solver basis already has
+        this form (one free column per vector), so it is taken as it is;
+        any other basis is reduced once, on first use, by the shared
+        integer kernel on the rows of ``[V | I]``, with the columns in
+        descending order so that each pivot is a last nonzero.
+        """
+        if self.basis:
+            _require_exact(self.basis[0], "echelon")
+        d = self.dimension
+        den = math.lcm(*(op.den for op in self.basis))
+        ints = [
+            v if den == 1 else {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+            for v in self.vectors
+        ]
+        lasts = {max(v) for v in ints if v}
+        # reduced already: distinct last nonzeros, each absent from every other vector
+        if len(lasts) == d and sum(k in lasts for v in ints for k in v) == d:
+            return den, {max(v): (v, {i: 1}) for i, v in enumerate(ints)}
+        # identity column i is key -1 - i, entry k is key -1 - d - k: the
+        # kernel pivots at the lowest key, so at the last nonzero entry
+        rows = []
+        for i, v in enumerate(ints):
+            row = {-1 - d - k: x for k, x in v.items()}
+            row[-1 - i] = 1
+            rows.append(row)
+        echelon = {}
+        for c, row in _back_substitute(_eliminate(rows)).items():
+            if c < -d:
+                r = {-1 - d - j: x for j, x in row.items() if j < -d}
+                w = {-1 - j: x for j, x in row.items() if j >= -d}
+                echelon[-1 - d - c] = (r, w)
+        return den, echelon
+
     def is_independent(self) -> bool:
-        """Exact rank check: dimension equals the rank of the stacked vectors."""
-        pivots = _eliminate([_integerize(v)[0] for v in self.vectors if v])
-        return len(pivots) == self.dimension
+        """Exact rank check: dimension equals the number of echelon pivots."""
+        return len(self.echelon[1]) == self.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +280,17 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
 
 
 def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
-    # independent substitution of every vector into every touched equation
-    touching: dict[int, list[tuple[int, int]]] = {}
-    for ei, row in enumerate(int_rows):
-        for j, v in row.items():
-            touching.setdefault(j, []).append((ei, v))
-    for vec in basis:
-        sums: dict[int, int] = {}
+    # independent substitution: index the basis by unknown, then sum every
+    # original row against every vector in one sweep over the rows
+    at: dict[int, list[tuple[int, int]]] = {}
+    for b, vec in enumerate(basis):
         for j, val in vec.items():
-            for ei, coef in touching.get(j, ()):
-                sums[ei] = sums.get(ei, 0) + coef * val
+            at.setdefault(j, []).append((b, val))
+    for row in int_rows:
+        sums: dict[int, int] = {}
+        for j, coef in row.items():
+            for b, val in at.get(j, ()):
+                sums[b] = sums.get(b, 0) + coef * val
         if any(sums.values()):
             raise YbtError("kernel vector fails its system")
 
@@ -320,7 +364,9 @@ def _solve_pairs(
 ) -> SubspaceBasis:
     _check_cap(r.site_dim, n, size_cap)
     eqs: list[dict[int, int]] = []
-    for bl, br in zip(_embedded_braids(r, n), _embedded_braids(r_tilde, n)):
+    left = _embedded_braids(r, n)
+    right = left if r_tilde is r else _embedded_braids(r_tilde, n)
+    for bl, br in zip(left, right):
         eqs.extend(_commutation_equations(bl, br))
     side = r.site_dim**n
     return _solved_basis(r.site_dim, n, _kernel_basis(eqs, side * side))
@@ -396,7 +442,16 @@ def r_symmetric_residual(r: Operator, z: Operator):
 
 
 def membership_coefficients(basis: SubspaceBasis, op: Operator):
-    """Exact coefficients expressing `op` in `basis`, or None if outside the span."""
+    """Exact coefficients expressing `op` in `basis`, or None if outside the span.
+
+    Each coefficient is read off at a pivot of the basis's cached reduced
+    echelon form (`SubspaceBasis.echelon`), in integers over one common
+    denominator, and the combination is then compared with `op` entry by
+    entry, exactly; any difference means `op` is outside the span.  An
+    element in the span of the earlier elements gets coefficient 0, so a
+    dependent basis gives the combination of its first independent
+    elements.
+    """
     if (op.site_dim, op.legs, op.backend) != (
         basis.site_dim,
         basis.legs,
@@ -406,22 +461,23 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     _require_exact(op, "membership_coefficients")
     if not basis.basis:
         return None
-    d = basis.dimension
-    # unknowns: d combination coefficients plus one scale t for the target;
-    # kernel vectors with t != 0 witness membership.  The columns are the
-    # exact entries of the elements, so the coefficients need no rescaling.
-    eqs: dict[int, dict[int, Scalar]] = {}
-    for ci, col in enumerate(basis.vectors):
-        for entry, v in col.items():
-            eqs.setdefault(entry, {})[ci] = v
-    for entry, v in _vectorize(op).items():
-        eqs.setdefault(entry, {})[d] = -v
-    kernel = _kernel_basis([_integerize(e)[0] for e in eqs.values()], d + 1)
-    for vec in kernel:
-        t = vec.get(d)
-        if t:
-            return tuple(Fraction(vec.get(i, 0), t) for i in range(d))
-    return None
+    den, echelon = basis.echelon
+    target = _to_flat(op)
+    used = [(c, target[c], *echelon[c]) for c in target if c in echelon]
+    # scale * target = sum f_c r_c, with f_c = target[c] * scale / r_c[c]
+    scale = math.lcm(*(r[c] for c, _, r, _ in used))
+    rest = {k: scale * v for k, v in target.items()}
+    coeffs = [0] * basis.dimension
+    for c, t, r, w in used:
+        f = t * (scale // r[c])
+        for k, v in r.items():
+            rest[k] = rest.get(k, 0) - f * v
+        for i, v in w.items():
+            coeffs[i] += f * v
+    if any(rest.values()):
+        return None
+    # op = target / op.den and r_c = sum w_c[i] * den * vectors[i]
+    return tuple(Fraction(c * den, scale * op.den) for c in coeffs)
 
 
 def invertible_certificate(
@@ -430,9 +486,12 @@ def invertible_certificate(
     """Search for an invertible element of the span; None after `budget` misses.
 
     The first attempt is the all-ones combination, later ones draw integer
-    coefficients from [-9, 9], widening the range every ten attempts.  A
-    returned certificate is exact; a miss is explicitly not a proof that
-    no invertible element exists.
+    coefficients from [-9, 9], widening the range every ten attempts.  An
+    attempt is accepted when the fraction-free elimination of its integer
+    rows (sparsest first) finds a pivot in every column: full rank, which
+    is exactly a nonzero determinant, without computing the determinant's
+    value.  A returned certificate is exact; a miss is explicitly not a
+    proof that no invertible element exists.
     """
     if not basis.basis:
         return None
@@ -460,6 +519,6 @@ def invertible_certificate(
                 for k, v in nonzero:
                     acc[k] = acc.get(k, 0) + c * v
         combo = _from_flat(basis.site_dim, basis.legs, den, acc)
-        if determinant(combo) != 0:
+        if len(_eliminate(sorted(map(dict, combo.entries), key=len))) == combo.side:
             return tuple(Fraction(c) for c in coeffs), combo
     return None

@@ -448,12 +448,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _integerize(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Scale a sparse rational row to integers; returns (row, multiplier)."""
-    lcm = math.lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}, lcm
-
-
 def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Online fraction-free forward elimination of sparse integer rows.
 

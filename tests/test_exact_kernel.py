@@ -40,10 +40,9 @@ from ybt import (
     r_symmetric_space,
     residual,
 )
-from ybt.errors import SingularOperatorError
+from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
-from ybt.subspace_solver import _kernel_basis
-from ybt.tensor_core import _integerize
+from ybt.subspace_solver import _commutation_equations, _kernel_basis, _verify_kernel
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -86,6 +85,12 @@ def ref_det(rows):
             if a:
                 m[i] = [v - a * w for v, w in zip(m[i], m[k])]
     return det
+
+
+def integer_row(row):
+    """A sparse Fraction row scaled to integers by the lcm of its denominators."""
+    lcm = math.lcm(*(v.denominator for v in row.values()))
+    return {j: int(v * lcm) for j, v in row.items()}
 
 
 def ref_kernel(rows, ncols):
@@ -191,7 +196,7 @@ def test_kernel_basis_matches_reference(args):
     num_vars, square = args
     rows = [row[:num_vars] + [Fraction(0)] * (num_vars - len(row)) for row in square]
     eqs = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    int_rows = [_integerize(e)[0] for e in eqs]
+    int_rows = [integer_row(e) for e in eqs]
     assert _kernel_basis(int_rows, num_vars) == ref_kernel(rows, num_vars)
 
 
@@ -201,7 +206,7 @@ def test_kernel_basis_matches_reference(args):
 def test_kernel_basis_ignores_row_order_and_positive_scale(args, data):
     num_vars, square = args
     rows = [row[:num_vars] + [Fraction(0)] * (num_vars - len(row)) for row in square]
-    int_rows = [_integerize({j: v for j, v in enumerate(row) if v})[0] for row in rows]
+    int_rows = [integer_row({j: v for j, v in enumerate(row) if v}) for row in rows]
     order = data.draw(st.permutations(range(len(int_rows))))
     scales = data.draw(st.lists(st.integers(1, 12), min_size=len(int_rows),
                                 max_size=len(int_rows)))
@@ -405,6 +410,68 @@ def test_reloaded_solver_basis_matches_reference(rows, data):
 def test_dependent_basis_is_reported():
     op = as_operator([[1, 2], [3, 4]])
     assert not SubspaceBasis(2, 1, "rational", (op, Fraction(-3, 2) * op)).is_independent()
+
+
+# overlapping supports: every element shares entries with another one
+OVERLAPPING = (
+    [[1, 1, 0], [0, 0, 0], [0, 0, 2]],
+    [[0, 1, 1], [0, 0, 0], [0, 0, -1]],
+    [[0, 0, 1], [Fraction(1, 2), 0, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 0, 3], [0, 0, 0]],
+)
+
+
+@pytest.mark.parametrize("coeffs, ops", [
+    # each combination cancels at least one shared entry
+    ((1, -1), OVERLAPPING[:2]),
+    ((1, -1, 1), OVERLAPPING[:3]),
+    ((2, -2, 2, -2), OVERLAPPING),
+    ((Fraction(1, 3), Fraction(-1, 3), 1, Fraction(-5, 7)), OVERLAPPING),
+    # a repeated element lies in the span of the earlier ones: coefficient 0
+    ((1, 2, 3, 4), (OVERLAPPING[0], OVERLAPPING[1], OVERLAPPING[0], OVERLAPPING[3])),
+    ((0, 0, 5, 1), (OVERLAPPING[2], OVERLAPPING[2], OVERLAPPING[2], OVERLAPPING[1])),
+])
+def test_membership_with_cancelling_combinations_matches_reference(coeffs, ops):
+    ops = [as_operator(rows) for rows in ops]
+    space = SubspaceBasis(3, 1, "rational", tuple(ops))
+    member = as_operator([
+        [sum((c * op.rows[i][j] for c, op in zip(coeffs, ops)), Fraction(0)) for j in range(3)]
+        for i in range(3)
+    ])
+    expected = ref_membership(ops, member)
+    got = membership_coefficients(space, member)
+    assert got == expected is not None
+    # the combination is the member, whatever it makes of a repeated element
+    for i in range(3):
+        for j in range(3):
+            assert sum(c * op.rows[i][j] for c, op in zip(got, ops)) == member.rows[i][j]
+    for i, op in enumerate(ops):
+        if op in ops[:i]:
+            assert got[i] == 0
+    # one entry off the span
+    off = as_operator([[member.rows[i][j] + (i == 1 and j == 1) for j in range(3)]
+                       for i in range(3)])
+    assert membership_coefficients(space, off) is None
+    assert ref_membership(ops, off) is None
+
+
+@pytest.mark.parametrize("which", [0, 5, -1])
+def test_kernel_verification_rejects_one_changed_entry(which):
+    r = ybt.catalog.get("six_vertex").r
+    braids = [embed(braid_matrix(r), [i, i + 1], 4) for i in range(1, 4)]
+    rows = [row for b in braids for row in _commutation_equations(b, b)]
+    basis = _kernel_basis(rows, 16**2)
+    assert len(basis) == 35
+    _verify_kernel(rows, basis)
+    # a one-entry vector only rescales when that entry changes
+    spread = [i for i, vec in enumerate(basis) if len(vec) > 1]
+    assert len(spread) > 10
+    changed = [dict(vec) for vec in basis]
+    vec = changed[spread[which]]
+    vec[max(vec)] += 1
+    with pytest.raises(YbtError):
+        _verify_kernel(rows, changed)
+    _verify_kernel(rows, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +763,15 @@ def test_dense_rows_round_trip(pair):
 # ---------------------------------------------------------------------------
 
 
+def run_optimized(code):
+    src = str(Path(ybt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
+    )
+
+
 def test_kernel_verification_raises_under_optimized_python():
     code = (
         "from ybt.errors import YbtError\n"
@@ -706,10 +782,24 @@ def test_kernel_verification_raises_under_optimized_python():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(ybt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
+    done = run_optimized(code)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_non_member_is_rejected_under_optimized_python():
+    # the second basis needs a reduction step, the first is already reduced
+    code = (
+        "from ybt import Operator, SubspaceBasis, membership_coefficients\n"
+        "a = Operator.from_rows(2, 1, [[1, 1], [0, 0]])\n"
+        "b = Operator.from_rows(2, 1, [[1, 0], [1, 0]])\n"
+        "outside = Operator.from_rows(2, 1, [[0, 0], [0, 1]])\n"
+        "for ops in ((a, b), (a, b, a - b)):\n"
+        "    space = SubspaceBasis(2, 1, 'rational', ops)\n"
+        "    if membership_coefficients(space, outside) is not None:\n"
+        "        raise SystemExit(1)\n"
+        "    if membership_coefficients(space, a - b)[:2] != (1, -1):\n"
+        "        raise SystemExit(2)\n"
+        "raise SystemExit(0)\n"
     )
+    done = run_optimized(code)
     assert done.returncode == 0, done.stderr.decode()
