@@ -44,6 +44,7 @@ from .tensor_core import (
     kron,
     leg_permute,
     residual,
+    solve,
     swap,
 )
 from .twist_engine import (
@@ -112,6 +113,7 @@ __all__ = [
     "r_symmetric_space",
     "residual",
     "rtt_residual",
+    "solve",
     "swap",
     "te1_residual",
     "ybe_residual",

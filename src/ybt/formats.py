@@ -32,12 +32,6 @@ def parse_rational(raw, where: str = "value") -> Fraction:
     raise FormatError(f"expected a rational string, got {type(raw).__name__}", where)
 
 
-def scalar_to_obj(value: Scalar, backend: str):
-    if backend == RATIONAL:
-        return str(value)
-    return [value.real, value.imag]
-
-
 def scalar_from_obj(raw, backend: str, where: str) -> Scalar:
     if backend == RATIONAL:
         if not isinstance(raw, str):
@@ -55,12 +49,25 @@ def scalar_from_obj(raw, backend: str, where: str) -> Scalar:
 
 
 def operator_to_obj(op: Operator) -> dict:
-    return {
-        "scalar": op.backend,
-        "site_dim": op.site_dim,
-        "legs": op.legs,
-        "rows": [[scalar_to_obj(v, op.backend) for v in row] for row in op.rows],
-    }
+    """The file form of `op`, built from its stored entries.
+
+    Every zero entry of the result is one shared object: the string "0",
+    or the complex zero [0.0, 0.0].
+    """
+    if op.backend == RATIONAL:
+        values = {v for row in op.entries for _, v in row}
+        text = {v: str(Fraction(v, op.den)) for v in values}
+        zero, nonzero = "0", [[(j, text[v]) for j, v in row] for row in op.entries]
+    else:
+        zero = [0.0, 0.0]
+        nonzero = [[(j, [v.real, v.imag]) for j, v in row] for row in op.entries]
+    side, rows = op.side, []
+    for row in nonzero:
+        out = [zero] * side
+        for j, v in row:
+            out[j] = v
+        rows.append(out)
+    return {"scalar": op.backend, "site_dim": op.site_dim, "legs": op.legs, "rows": rows}
 
 
 def operator_from_obj(obj, where: str = "operator") -> Operator:

@@ -20,8 +20,8 @@ built on first access and cached.
 Exact linear algebra on the rational backend rests on one kernel: integer
 rows are reduced by fraction-free, content-stripped sparse elimination
 (``_eliminate``), optionally followed by one reduced echelon pass
-(``_back_substitute``).  Inverses, determinants, ranks and the null spaces
-of ``subspace_solver`` all come from it.
+(``_back_substitute``).  Solves ``a^-1 b``, inverses, determinants, ranks
+and the null spaces of ``subspace_solver`` all come from it.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -190,13 +190,21 @@ class Operator:
         _check_same_space(self, other)
         zero = _VALUE_ZERO[self.backend]
         right = other.entries
+        side = self.side
         out = []
         for arow in self.entries:
-            if len(arow) == 1:  # a scaled copy of one row of `other`
+            n = len(arow)
+            if n == 1:  # a scaled copy of one row of `other`
                 k, a = arow[0]
                 out.append(right[k] if a == 1 else tuple([(j, a * b) for j, b in right[k]]))
-            elif not arow:
+            elif not n:
                 out.append(())
+            elif n * 4 >= side:  # dense enough to sum in a list
+                sums = [zero] * side
+                for k, a in arow:
+                    for j, b in right[k]:
+                        sums[j] += a * b
+                out.append(tuple([kv for kv in enumerate(sums) if kv[1]]))
             else:
                 acc: dict = {}
                 get = acc.get
@@ -436,7 +444,7 @@ def residual(x: Operator, y: Operator):
 
 
 # ---------------------------------------------------------------------------
-# exact integer elimination; inversion and determinants
+# exact integer elimination; solves, inverses and determinants
 # ---------------------------------------------------------------------------
 
 
@@ -448,15 +456,25 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+#: Bits of row scaling that `_eliminate` lets a row gather before it strips
+#: the row's content; measured on inverses and on dense certificate ranks.
+_STRIP_BITS = 256
+
+
 def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Online fraction-free forward elimination of sparse integer rows.
 
     Returns pivot column -> content-free row whose lowest column is the
-    pivot.  Every row operation is p*row - a*pivot_row followed by exact
-    division by the content, so no inexact division can occur.
+    pivot.  Every row operation is p*row - a*pivot_row with p and a divided
+    by their gcd, so no inexact division can occur.  A row's content is
+    stripped when it becomes a pivot row, and before that only once the
+    factors |p| it was scaled by pass ``_STRIP_BITS`` bits: stripping
+    divides by a positive factor, so the pivot rows do not depend on when
+    it happens, only the size of the integers on the way does.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
+        grown = 0
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -464,6 +482,9 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
                 pivots[c] = _primitive(row)
                 break
             p, a = piv[c], row[c]
+            g = math.gcd(p, a)
+            if g > 1:
+                p, a = p // g, a // g
             new: dict[int, int] = {}
             for j, v in row.items():
                 w = p * v - a * piv.get(j, 0)
@@ -472,7 +493,10 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
             for j, v in piv.items():
                 if j not in row:
                     new[j] = -a * v
-            row = _primitive(new) if new else new
+            grown += abs(p).bit_length() - 1
+            if grown > _STRIP_BITS and new:
+                new, grown = _primitive(new), 0
+            row = new
     return pivots
 
 
@@ -500,31 +524,28 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     return reduced
 
 
-def _augmented_pivots(x: Operator) -> dict[int, dict[int, int]]:
-    """Eliminate the integer rows of [X | I], where x = X / den."""
-    side = x.side
-    rows = []
-    for i, row in enumerate(x.entries):
-        ints = dict(row)
-        ints[side + i] = 1
-        rows.append(ints)
-    return _eliminate(rows)
+def _augmented_rows(a: Operator, b: Operator) -> list[dict[int, int]]:
+    """The integer rows of [A | B], where a = A / a.den and b = B / b.den."""
+    side = a.side
+    return [dict(arow + tuple([(side + j, v) for j, v in brow]))
+            for arow, brow in zip(a.entries, b.entries)]
 
 
-def _invert_rational(x: Operator) -> Operator:
-    side, den = x.side, x.den
-    pivots = _augmented_pivots(x)
+def _solve_rational(a: Operator, b: Operator) -> Operator:
+    side = a.side
+    pivots = _eliminate(_augmented_rows(a, b))
     rank = sum(1 for c in pivots if c < side)
     if rank < side:
         raise SingularOperatorError(side, rank)
-    # reduced row i is [p_i e_i | B_i] with B_i / p_i row i of X^-1, and
-    # x^-1 = den X^-1: row i is den B_i / p_i, over q_i = p_i / gcd(p_i, den)
+    # reduced row i is [p_i e_i | C_i] with C_i / p_i row i of A^-1 B, and
+    # a^-1 b = (da / db) A^-1 B: row i is da C_i / (db p_i), over q_i
+    da, db = a.den, b.den
     reduced = _back_substitute(pivots)
     scales = []
     for i in range(side):
-        p = reduced[i][i]
-        g = math.gcd(p, den)
-        scales.append((den // g, p // g))
+        q = db * reduced[i][i]
+        g = math.gcd(q, da)
+        scales.append((da // g, q // g))
     common = math.lcm(*(q for _, q in scales))
     rows = []
     for i, (s, q) in enumerate(scales):
@@ -532,7 +553,7 @@ def _invert_rational(x: Operator) -> Operator:
         rows.append(tuple(sorted(
             (j - side, v * f) for j, v in reduced[i].items() if j >= side
         )))
-    return _finish(x.site_dim, x.legs, RATIONAL, common, rows)
+    return _finish(a.site_dim, a.legs, RATIONAL, common, rows)
 
 
 def _invert_complex(x: Operator) -> Operator:
@@ -559,14 +580,28 @@ def _invert_complex(x: Operator) -> Operator:
     return Operator(x.site_dim, x.legs, COMPLEX64, rows)
 
 
+def solve(a: Operator, b: Operator) -> Operator:
+    """a^-1 b, from one elimination of [A | B] without forming the inverse.
+
+    On the rational backend the result is exact, and equal to
+    ``invert(a) @ b``; on the complex backend it is that product.  Raises
+    :class:`SingularOperatorError` carrying the rank of `a`.
+    """
+    _check_same_space(a, b)
+    if a.backend == RATIONAL:
+        return _solve_rational(a, b)
+    return _invert_complex(a) @ b
+
+
 def invert(x: Operator) -> Operator:
     """Exact inverse (rational backend) or partial-pivot inverse (complex).
 
-    On the rational backend the product with `x` is exactly the identity.
-    Raises :class:`SingularOperatorError` carrying the rank found.
+    On the rational backend this is ``solve(x, identity)``, and the product
+    with `x` is exactly the identity.  Raises
+    :class:`SingularOperatorError` carrying the rank found.
     """
     if x.backend == RATIONAL:
-        return _invert_rational(x)
+        return _solve_rational(x, identity(x.site_dim, x.legs))
     return _invert_complex(x)
 
 
@@ -590,7 +625,7 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    pivots = _augmented_pivots(x)
+    pivots = _eliminate(_augmented_rows(x, identity(x.site_dim, x.legs)))
     if any(c not in pivots for c in range(side)):
         return Fraction(0)
     # The pivot rows are [U | L] with U = L X upper triangular.  The row for

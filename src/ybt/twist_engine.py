@@ -31,6 +31,7 @@ from .tensor_core import (
     kron,
     leg_permute,
     residual,
+    solve,
 )
 from .ybe_check import ybe_residual
 
@@ -131,8 +132,8 @@ def apply_twist(r: Operator, f: Operator) -> Operator:
     """F21^-1 R F, with F21 the leg swap of F."""
     if r.legs != 2 or f.legs != 2:
         raise ShapeMismatchError("apply_twist needs two-leg operators")
-    f21 = leg_permute(f, (2, 1))
-    return invert(f21) @ r @ f
+    # (F21^-1 R) F, with F21^-1 R from one exact solve
+    return solve(leg_permute(f, (2, 1)), r) @ f
 
 
 def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckReport:

@@ -5,7 +5,8 @@ null spaces behind r_symmetric_space and membership_coefficients all come
 from one fraction-free elimination; the null spaces first collapse their
 one- and two-term rows with a union-find.  The reference below shares no
 code with it: plain Gauss-Jordan over Fraction, written for clarity only.
-The sparse operator kernels (products, sums, Kronecker products, leg
+Solves a^-1 b are checked against the reduced form of [A | B].  The
+sparse operator kernels (products, sums, Kronecker products, leg
 permutations, embeddings, residuals) are checked on both backends against
 dense list arithmetic, and every way of building an operator must give
 the same stored form.
@@ -39,10 +40,12 @@ from ybt import (
     membership_coefficients,
     r_symmetric_space,
     residual,
+    solve,
 )
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
 from ybt.subspace_solver import _commutation_equations, _kernel_basis, _verify_kernel
+from ybt.twist_engine import apply_twist
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -183,6 +186,81 @@ def test_determinant_matches_reference_and_flips_under_row_swaps(rows, data):
         swapped = list(rows)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert determinant(as_operator(swapped)) == -det
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_reference_and_shares_the_rank_of_invert(rows, data):
+    side = len(rows)
+    rhs = [data.draw(st.lists(ENTRY, min_size=side, max_size=side)) for _ in range(side)]
+    reduced, _ = ref_rref([r + b for r, b in zip(rows, rhs)], 2 * side)
+    rank = len(ref_rref(rows, side)[1])
+    if rank < side:
+        with pytest.raises(SingularOperatorError) as err:
+            solve(as_operator(rows), as_operator(rhs))
+        with pytest.raises(SingularOperatorError) as inv_err:
+            invert(as_operator(rows))
+        assert (err.value.side, err.value.rank) == (inv_err.value.side, inv_err.value.rank)
+        assert err.value.rank == rank
+    else:
+        got = solve(as_operator(rows), as_operator(rhs))
+        assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
+        assert got == invert(as_operator(rows)) @ as_operator(rhs)
+
+
+@pytest.mark.parametrize("side, seed", [(16, 0), (20, 1), (24, 2)])
+def test_solve_of_large_dense_entries_matches_reference(side, seed):
+    # rows reduced by many pivots with large leading entries, so the
+    # elimination strips content part-way through a row as well as at its end
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(side)]
+            for _ in range(side)]
+    rhs = [[Fraction(rng.randint(-9, 9)) for _ in range(side)] for _ in range(side)]
+    reduced, pivots = ref_rref([r + b for r, b in zip(rows, rhs)], 2 * side)
+    assert pivots == list(range(side))
+    got = solve(as_operator(rows), as_operator(rhs))
+    assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
+    assert determinant(as_operator(rows)) == ref_det(rows)
+
+
+def complex_bits(x):
+    """The stored form with signed zeros told apart."""
+    return x.den, repr(x.entries)
+
+
+@st.composite
+def complex_operators(draw, count, legs):
+    site_dim = draw(st.integers(2, 3)) if legs == 2 else draw(st.integers(2, 9))
+    side = site_dim**legs
+    return [Operator(site_dim, legs, "complex64", dense_rows(draw, "complex64", side))
+            for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_operators(2, 1))
+def test_complex_solve_is_the_inverse_times_b(ops):
+    a, b = ops
+    try:
+        expected = invert(a) @ b
+    except SingularOperatorError as exc:
+        with pytest.raises(SingularOperatorError) as err:
+            solve(a, b)
+        assert err.value.rank == exc.rank
+        return
+    got = solve(a, b)
+    assert got == expected and complex_bits(got) == complex_bits(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_operators(2, 2))
+def test_complex_apply_twist_keeps_its_association(ops):
+    r, f = ops
+    try:
+        expected = (invert(leg_permute(f, (2, 1))) @ r) @ f
+    except SingularOperatorError:
+        return
+    got = apply_twist(r, f)
+    assert got == expected and complex_bits(got) == complex_bits(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +718,39 @@ def test_arithmetic_matches_dense_reference(pair, scalar):
         assert got == worst and isinstance(got, Fraction)
     else:
         assert got == float(worst) and isinstance(got, float)
+
+
+def mixed_rows(rng, backend, side):
+    """Dense rows of every kind a product meets: empty, one-entry, sparse, dense.
+
+    The first four rows take one kind each, so every kind occurs; the rows
+    are then shuffled."""
+    def value():
+        if backend == "rational":
+            return Fraction(rng.choice([-9, -5, -2, -1, 1, 2, 3, 7]), rng.randint(1, 6))
+        return complex(rng.randint(-3, 3), rng.choice([-2, -1, 1, 3]))
+
+    rows = []
+    for i in range(side):
+        kind = i if i < 4 else rng.randrange(4)
+        count = (0, 1, rng.randint(2, 3), rng.randint(side // 4 + 1, side))[kind]
+        cols = set(rng.sample(range(side), count))
+        rows.append([value() if j in cols else ZERO[backend] for j in range(side)])
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(BACKEND, st.sampled_from([(2, 4), (4, 2), (5, 2), (3, 3)]),
+       st.randoms(use_true_random=False))
+def test_products_of_mixed_rows_match_dense_reference(backend, space, rng):
+    site_dim, legs = space
+    side = site_dim**legs
+    a, b = mixed_rows(rng, backend, side), mixed_rows(rng, backend, side)
+    x, y = Operator(site_dim, legs, backend, a), Operator(site_dim, legs, backend, b)
+    zero = ZERO[backend]
+    assert checked_rows(x @ y) == tuple(map(tuple, ref_matmul(a, b, zero)))
+    assert checked_rows(y @ x) == tuple(map(tuple, ref_matmul(b, a, zero)))
 
 
 @settings(max_examples=60, deadline=None)
