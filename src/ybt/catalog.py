@@ -17,7 +17,6 @@ Entry conventions were pinned by the package's own exact checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .formats import (
     twist_pair_to_obj,
     load_json,
 )
-from .tensor_core import Operator, identity, swap
+from .tensor_core import Operator, Record, identity, swap
 from .twist_engine import TwistPair, check_pair, identity_pair
 from .ybe_check import ybe_residual
 
@@ -54,8 +53,7 @@ DEFAULTS: dict[str, dict[str, Fraction]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     r: Operator
     twist: TwistPair | None

@@ -20,14 +20,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import catalog
+# Only the layers every subcommand uses are imported here.  A handler
+# imports catalog, factorized, fusion or subspace_solver when it runs, so a
+# process loads only what its subcommand needs.
 from .errors import CatalogError, FormatError, ShapeMismatchError, SizeCapError, YbtError
-from .factorized import (
-    check_split_A,
-    check_split_B,
-    omega_split_A,
-    omega_split_B,
-)
 from .formats import (
     canonical_dumps,
     certificate_to_obj,
@@ -37,12 +33,6 @@ from .formats import (
     operator_to_obj,
     pretty_dumps,
     subspace_to_obj,
-)
-from .fusion import f_components_from_omega, fuse_r, te1_residual
-from .subspace_solver import (
-    intertwiner_space,
-    invertible_certificate,
-    r_symmetric_space,
 )
 from .tensor_core import Operator, RATIONAL
 from .twist_engine import (
@@ -72,7 +62,9 @@ def _parse_catalog_ref(ref: str):
     return name, params
 
 
-def _resolve_entry(ref: str) -> catalog.CatalogEntry:
+def _resolve_entry(ref: str):
+    from . import catalog
+
     name, params = _parse_catalog_ref(ref)
     return catalog.get(name, params)
 
@@ -109,6 +101,9 @@ def resolve_pair(ref: str) -> TwistPair:
 def _resolve_components(ref: str, m: int, n: int, k: int) -> dict:
     """The components te1_residual(m, n, k) reads; zero indices stay implicit."""
     if ref.startswith("catalog:"):
+        from .factorized import omega_split_A, omega_split_B
+        from .fusion import f_components_from_omega
+
         entry = _resolve_entry(ref)
         if entry.regime == "split_A":
             build = omega_split_A
@@ -185,16 +180,22 @@ def _cmd_check_pair(args):
 
 
 def _cmd_check_split(args):
+    from .factorized import check_split_A, check_split_B
+
     check = check_split_A if args.variant == "A" else check_split_B
     return check(resolve_r(args.r), resolve_f(args.f), args.tol), {}
 
 
 def _cmd_fuse(args):
+    from .fusion import fuse_r
+
     fused = fuse_r(resolve_r(args.r), args.m, args.n, max_legs=args.max_legs)
     return _NO_CHECKS, _write_or_embed(args, {}, "operator", operator_to_obj, fused)
 
 
 def _cmd_rsym(args):
+    from .subspace_solver import r_symmetric_space
+
     r = resolve_r(args.r)
     basis = r_symmetric_space(r, args.n, size_cap=r.site_dim**args.max_legs)
     outputs = {"dimension": basis.dimension}
@@ -203,6 +204,8 @@ def _cmd_rsym(args):
 
 
 def _cmd_intertwine(args):
+    from .subspace_solver import intertwiner_space, invertible_certificate
+
     r = resolve_r(args.r)
     s = resolve_r(args.s)
     basis = intertwiner_space(r, s, args.n, size_cap=r.site_dim**args.max_legs)
@@ -221,6 +224,8 @@ def _cmd_intertwine(args):
 
 
 def _cmd_omega(args):
+    from .factorized import omega_split_A, omega_split_B
+
     _check_leg_cap("omega", args.n, args.max_legs)
     build = omega_split_A if args.variant == "A" else omega_split_B
     omega = build(resolve_f(args.f), args.n)
@@ -228,6 +233,8 @@ def _cmd_omega(args):
 
 
 def _cmd_te1(args):
+    from .fusion import te1_residual
+
     needed = args.m + args.n + args.k
     _check_leg_cap("te1", needed, args.max_legs)
     components = _resolve_components(args.components, args.m, args.n, args.k)
@@ -237,10 +244,14 @@ def _cmd_te1(args):
 
 
 def _cmd_catalog_list(args):
+    from . import catalog
+
     return _NO_CHECKS, {"names": catalog.names()}
 
 
 def _cmd_catalog_get(args):
+    from . import catalog
+
     entry = _resolve_entry("catalog:" + args.name)
     return _NO_CHECKS, _write_or_embed(args, {}, "entry", catalog.entry_to_obj, entry)
 

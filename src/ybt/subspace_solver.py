@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .errors import BackendMismatchError, ShapeMismatchError, SizeCapError, YbtE
 from .tensor_core import (
     Operator,
     RATIONAL,
+    Record,
     Scalar,
     _back_substitute,
     _eliminate,
@@ -49,8 +49,7 @@ from .ybe_check import braid_matrix
 DEFAULT_SIZE_CAP = 64
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """Linearly independent operators spanning an exact solution space."""
 
     site_dim: int

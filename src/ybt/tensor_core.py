@@ -31,10 +31,10 @@ P_sigma X P_sigma^-1 with P_sigma the leg-permutation matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product as _iproduct
+from operator import attrgetter
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
 
@@ -88,8 +88,68 @@ def _check_space(site_dim: int, legs: int, backend: str):
         raise BackendMismatchError(f"unknown backend {backend!r}")
 
 
-@dataclass(frozen=True, init=False)
-class Operator:
+class Record:
+    """Immutable value whose fields are its class annotations, in order.
+
+    Fields are passed positionally or by keyword; a field with a class-level
+    value has that value as its default.  After the fields are set,
+    ``__post_init__`` runs.  Equality and hashing compare the fields as one
+    tuple, between instances of the same class, and ``repr`` shows them as
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``AttributeError``; ``functools.cached_property`` still caches, since it
+    writes the instance dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        # not a method: called as self._values(self), it returns the field values
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = vars(self)
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated field {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{name}() missing field {key!r}")
+                values[key] = self._defaults[key]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Operator(Record):
     """Square matrix on ``legs`` tensor factors of dimension ``site_dim``.
 
     ``entries[i]`` holds the nonzero entries of row i as (column, value)

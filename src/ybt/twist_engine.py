@@ -16,7 +16,6 @@ identity; R-symmetric gauge elements move a pair inside its orbit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .tensor_core import (
     DEFAULT_TOLERANCE,
     RATIONAL,
     Operator,
+    Record,
     embed,
     identity,
     invert,
@@ -36,8 +36,7 @@ from .tensor_core import (
 from .ybe_check import ybe_residual
 
 
-@dataclass(frozen=True)
-class TwistPair:
+class TwistPair(Record):
     """Invertible (F on 2 legs, G on 3 legs); inverses cached eagerly.
 
     The derived phi = G F12^-1 and psi = G F23^-1 are invertible by
@@ -88,8 +87,7 @@ def identity_pair(site_dim: int, backend: str = RATIONAL) -> TwistPair:
     return TwistPair(identity(site_dim, 2, backend), identity(site_dim, 3, backend))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Named residuals plus a verdict.
 
     The verdict is true iff every *gating* residual vanishes (rational

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from ybt import cli
+from ybt import cli, factorized, fusion, subspace_solver
 from ybt.cli import dispatch
 from ybt.formats import load_operator, operator_to_obj, pretty_dumps, save_operator
 from ybt import Operator, apply_twist, catalog, fuse_r, identity
@@ -185,8 +185,8 @@ def test_te1_refuses_legs_over_the_cap(capsys):
 def test_te1_refuses_negative_indices_before_building(capsys, monkeypatch):
     built = []
     for name in ("omega_split_A", "omega_split_B"):
-        monkeypatch.setattr(cli, name, lambda f, j: built.append(j))
-    monkeypatch.setattr(cli, "f_components_from_omega", lambda *a: built.append(a))
+        monkeypatch.setattr(factorized, name, lambda f, j: built.append(j))
+    monkeypatch.setattr(fusion, "f_components_from_omega", lambda *a: built.append(a))
     # m + n + k = 0 passes the leg cap, but (n, k) = (10, 10) would need omega_20
     code, out, err = run(
         capsys, "te1", "catalog:jordanian", "-m", -20, "-n", 10, "-k", 10
@@ -205,13 +205,13 @@ def test_te1_at_the_cap_still_runs(capsys):
 
 def test_te1_builds_only_the_components_it_reads(capsys, monkeypatch):
     built = []
-    original = cli.f_components_from_omega
+    original = fusion.f_components_from_omega
 
     def counted(omegas, m, n):
         built.append((m, n))
         return original(omegas, m, n)
 
-    monkeypatch.setattr(cli, "f_components_from_omega", counted)
+    monkeypatch.setattr(fusion, "f_components_from_omega", counted)
     code, report, _ = run_json(
         capsys, "te1", "catalog:jordanian", "-m", 2, "-n", 2, "-k", 2
     )
@@ -276,7 +276,9 @@ def test_out_of_memory_exits_two_without_stdout(capsys, monkeypatch, stage):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, stage, exhausted)
+    # each stage is patched where cli reads it when the handler runs
+    owner = subspace_solver if stage == "r_symmetric_space" else cli
+    monkeypatch.setattr(owner, stage, exhausted)
     code, out, err = run(capsys, "rsym", "catalog:perm", "-n", 2)
     assert code == 2 and out == ""
     assert err == "error: out of memory\n"
