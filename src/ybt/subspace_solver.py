@@ -1,15 +1,20 @@
 """Exact null spaces: R-symmetric tensors, braid intertwiner spaces, certificates.
 
 The defining relations are linear in the unknown operator Z, vectorized
-row-major.  They are built as sparse integer rows (both braid matrices
-scaled by one common denominator).  Most rows have two terms and only tie
-one unknown to a multiple of another, so a weighted union-find collapses
-the one- and two-term rows first; the longer rows, rewritten over the
-component roots, are solved by the fraction-free integer elimination
-kernel of ``tensor_core`` (forward pass, sparsest rows first, then reduced
-echelon form), and the result is expanded back over every unknown.  Every
-reported basis element is re-verified by substitution into the original
-rows, in one sweep over the rows against an index of the basis by unknown.
+row-major.  They are sparse integer rows built once from the two-leg
+block: the rows of D (b Z - Z bt) over the d^4 local unknowns are read off
+the stored entries of the two braid matrices (D their common denominator),
+one row is kept of each set of rows equal up to a nonzero scale, and each
+kept row is shifted to every position and environment.  No braid matrix
+is embedded.  Most rows have two terms and only tie one unknown to a
+multiple of another, so a weighted union-find collapses the one- and
+two-term rows first; the longer rows, rewritten over the component roots,
+are solved by the fraction-free integer elimination kernel of
+``tensor_core`` (forward pass, sparsest rows first, then reduced echelon
+form), and the result is expanded back over every unknown.  Every
+reported basis element is re-verified by substitution into every distinct
+defining row, in one sweep over the rows against an index of the basis by
+unknown.
 A solved basis keeps its sparse integer kernel vectors, so membership tests
 and certificate searches never read the dense operators back.  Membership
 reads each coefficient off a cached reduced echelon form of the basis (a
@@ -37,6 +42,7 @@ from .tensor_core import (
     _eliminate,
     _from_flat,
     _primitive,
+    _rank,
     _to_flat,
     embed,
     leg_permute,
@@ -315,39 +321,69 @@ def _require_exact(op: Operator, what: str):
         )
 
 
-def _commutation_equations(b_left: Operator, b_right: Operator) -> list[dict[int, int]]:
-    """Integer rows of D (B_left Z - Z B_right) = 0 over vec(Z).
+def _local_rows(r: Operator, r_tilde: Operator) -> list[tuple[tuple[int, int], ...]]:
+    """Distinct two-leg rows of D (b Z - Z bt) = 0, one for each set equal up to scale.
 
-    D is the common denominator of both braid matrices, so the stored
-    integer entries only need scaling; a positive scale leaves the
-    solution set alone.
+    b and bt are the braid matrices of r and r_tilde, and D is their common
+    denominator, so their stored integer entries only need scaling.  Row
+    (alpha, beta) reads ``sum_g b[alpha, g] Z[g, beta] - sum_e Z[alpha, e]
+    bt[e, beta]`` over the d^4 local unknowns Z[g, e], keyed g * d^2 + e.
+    Each row comes back as its (key, coefficient) terms in ascending key
+    order, content-free with a positive first coefficient, and a row that
+    repeats an earlier one up to a nonzero scale is dropped: it has the same
+    solutions.
     """
-    side = b_left.side
-    den = math.lcm(b_left.den, b_right.den)
-    sl, sr = den // b_left.den, den // b_right.den
-    left = [[(c, sl * v) for c, v in row] for row in b_left.entries]
-    right: list[list[tuple[int, int]]] = [[] for _ in range(side)]
-    for c, row in enumerate(b_right.entries):
-        for b, v in row:
-            right[b].append((c, sr * v))
-    eqs = []
-    for a in range(side):
-        for b in range(side):
-            row = {c * side + b: v for c, v in left[a]}
-            for c, v in right[b]:
-                key = a * side + c
-                row[key] = row.get(key, 0) - v
-            # only the (a, b) entry is written by both products
-            if row.get(a * side + b) == 0:
-                del row[a * side + b]
-            if row:
-                eqs.append(row)
-    return eqs
-
-
-def _embedded_braids(r: Operator, n: int) -> list[Operator]:
     b = braid_matrix(r)
-    return [embed(b, [i, i + 1], n) for i in range(1, n)]
+    bt = b if r_tilde is r else braid_matrix(r_tilde)
+    q = b.side
+    den = math.lcm(b.den, bt.den)
+    sl, sr = den // b.den, den // bt.den
+    right: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+    for e, row in enumerate(bt.entries):
+        for beta, v in row:
+            right[beta].append((e, sr * v))
+    kept: dict[tuple[tuple[int, int], ...], None] = {}
+    for alpha in range(q):
+        for beta in range(q):
+            row = {g * q + beta: sl * v for g, v in b.entries[alpha]}
+            for e, v in right[beta]:
+                key = alpha * q + e
+                row[key] = row.get(key, 0) - v
+            keys = sorted(k for k, v in row.items() if v)
+            if not keys:
+                continue
+            content = math.gcd(*(row[k] for k in keys))
+            if row[keys[0]] < 0:
+                content = -content
+            kept[tuple((k, row[k] // content) for k in keys)] = None
+    return list(kept)
+
+
+def _commutation_rows(r: Operator, r_tilde: Operator, n: int) -> list[dict[int, int]]:
+    """Integer rows of B_i Z - Z Bt_i = 0 over vec(Z), for i = 1..n-1.
+
+    B_i acts as the braid matrix of r on legs i and i + 1, Bt_i as that of
+    r_tilde, so each row of position i is a distinct two-leg row
+    (`_local_rows`) shifted into place.  With s = d^(n-i-1), local unknown
+    Z[g, e] sits at offset g * s * side + e * s, and the environment, the
+    digits of row and column outside the two legs, adds
+    (a_hi * d^2 * s + a_lo) * side + (b_hi * d^2 * s + b_lo).  Rows come
+    position by position; within a position, each local row in turn at
+    every environment.
+    """
+    d = r.site_dim
+    q = d * d
+    side = d**n
+    local = _local_rows(r, r_tilde)
+    rows = []
+    for i in range(1, n):
+        s = d ** (n - i - 1)
+        outside = [a_hi * q * s + a_lo for a_hi in range(d ** (i - 1)) for a_lo in range(s)]
+        bases = [a * side + b for a in outside for b in outside]
+        for terms in local:
+            shifted = [((k // q) * s * side + (k % q) * s, v) for k, v in terms]
+            rows.extend({base + o: v for o, v in shifted} for base in bases)
+    return rows
 
 
 def _check_cap(site_dim: int, n: int, size_cap: int):
@@ -362,13 +398,9 @@ def _solve_pairs(
     r: Operator, r_tilde: Operator, n: int, size_cap: int
 ) -> SubspaceBasis:
     _check_cap(r.site_dim, n, size_cap)
-    eqs: list[dict[int, int]] = []
-    left = _embedded_braids(r, n)
-    right = left if r_tilde is r else _embedded_braids(r_tilde, n)
-    for bl, br in zip(left, right):
-        eqs.extend(_commutation_equations(bl, br))
     side = r.site_dim**n
-    return _solved_basis(r.site_dim, n, _kernel_basis(eqs, side * side))
+    rows = _commutation_rows(r, r_tilde, n)
+    return _solved_basis(r.site_dim, n, _kernel_basis(rows, side * side))
 
 
 def r_symmetric_space(
@@ -433,8 +465,10 @@ def r_symmetric_residual(r: Operator, z: Operator):
     if z.legs < 2:
         return Fraction(0) if z.backend == RATIONAL else 0.0
     worst = None
-    for b in _embedded_braids(r, z.legs):
-        res = residual(b @ z, z @ b)
+    b = braid_matrix(r)
+    for i in range(1, z.legs):
+        b_i = embed(b, [i, i + 1], z.legs)
+        res = residual(b_i @ z, z @ b_i)
         if worst is None or res > worst:
             worst = res
     return worst
@@ -518,6 +552,6 @@ def invertible_certificate(
                 for k, v in nonzero:
                     acc[k] = acc.get(k, 0) + c * v
         combo = _from_flat(basis.site_dim, basis.legs, den, acc)
-        if len(_eliminate(sorted(map(dict, combo.entries), key=len))) == combo.side:
+        if _rank(combo) == combo.side:
             return tuple(Fraction(c) for c in coeffs), combo
     return None

@@ -560,6 +560,11 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _rank(x: Operator) -> int:
+    """Exact rank of a rational operator: the pivots of its integer rows, sparsest first."""
+    return len(_eliminate(sorted(map(dict, x.entries), key=len)))
+
+
 def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     """Reduced echelon form of `_eliminate` output, still content-free integers.
 

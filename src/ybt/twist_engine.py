@@ -19,12 +19,13 @@ import warnings
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ConditionWarning, ShapeMismatchError
+from .errors import ConditionWarning, ShapeMismatchError, SingularOperatorError
 from .tensor_core import (
     DEFAULT_TOLERANCE,
     RATIONAL,
     Operator,
     Record,
+    _rank,
     embed,
     identity,
     invert,
@@ -214,7 +215,12 @@ def gauge_transform(
     if (u1.legs, u2.legs, u3.legs) != (1, 2, 3):
         raise ShapeMismatchError("gauge elements must act on 1, 2 and 3 legs")
     for u in (u1, u2, u3):
-        invert(u)  # raises SingularOperatorError with the rank found
+        if u.backend == RATIONAL:
+            rank = _rank(u)
+            if rank < u.side:
+                raise SingularOperatorError(u.side, rank)
+        else:
+            invert(u)  # raises SingularOperatorError with the rank found
     if r is not None:
         from .subspace_solver import r_symmetric_residual
 

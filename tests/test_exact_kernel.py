@@ -44,7 +44,7 @@ from ybt import (
 )
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
-from ybt.subspace_solver import _commutation_equations, _kernel_basis, _verify_kernel
+from ybt.subspace_solver import _commutation_rows, _kernel_basis, _local_rows, _verify_kernel
 from ybt.twist_engine import apply_twist
 
 # ---------------------------------------------------------------------------
@@ -533,11 +533,92 @@ def test_membership_with_cancelling_combinations_matches_reference(coeffs, ops):
     assert ref_membership(ops, off) is None
 
 
+def reference_commutation_rows(r, r_tilde, n):
+    """Rows of B_i Z - Z Bt_i = 0 over vec(Z), from the embedded braid matrices."""
+    rows = []
+    for i in range(1, n):
+        left = embed(braid_matrix(r), [i, i + 1], n).rows
+        right = embed(braid_matrix(r_tilde), [i, i + 1], n).rows
+        side = len(left)
+        for a in range(side):
+            for col in range(side):
+                row = {}
+                for c in range(side):
+                    row[c * side + col] = row.get(c * side + col, 0) + left[a][c]
+                    row[a * side + c] = row.get(a * side + c, 0) - right[c][col]
+                row = {j: v for j, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def normalised(row):
+    """Sorted integer terms of a row, content-free, with a positive first value."""
+    keys = sorted(row)
+    den = math.lcm(*(Fraction(row[k]).denominator for k in keys))
+    ints = [int(Fraction(row[k]) * den) for k in keys]
+    g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+    return tuple((k, v // g) for k, v in zip(keys, ints))
+
+
+def check_commutation_rows(r, r_tilde, n):
+    rows = _commutation_rows(r, r_tilde, n)
+    reference = reference_commutation_rows(r, r_tilde, n)
+    # each row is stored normalised; each reference row is a multiple of
+    # a builder row and each builder row a multiple of a reference row
+    kept = [normalised(row) for row in rows]
+    assert kept == [tuple(sorted(row.items())) for row in rows]
+    assert set(kept) == {normalised(row) for row in reference}
+    # position by position, each local row at every environment: no two
+    # rows of one position and environment are multiples of each other
+    k, envs = len(_local_rows(r, r_tilde)), r.site_dim ** (2 * (n - 2))
+    assert len(rows) == (n - 1) * k * envs
+    for position in range(n - 1):
+        block = position * k * envs
+        for env in range(envs):
+            group = kept[block + env: block + k * envs: envs]
+            assert len(set(group)) == k
+    num_vars = r.site_dim ** (2 * n)
+    assert _kernel_basis(rows, num_vars) == _kernel_basis(
+        [dict(row) for row in {normalised(row) for row in reference}], num_vars)
+
+
+@pytest.mark.parametrize("name", ybt.catalog.names())
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_commutation_rows_of_catalog_braids_match_reference(name, n):
+    entry = ybt.catalog.get(name)
+    check_commutation_rows(entry.r, entry.r, n)
+    if entry.twist is not None:
+        check_commutation_rows(entry.r, apply_twist(entry.r, entry.twist.f), n)
+
+
+SMALL_INT = st.integers(-12, 12).map(lambda v: v if abs(v) <= 3 else 0)
+
+
+@st.composite
+def braid_pairs(draw):
+    """Small integer R and R~, mostly at site_dim 2 on 2 to 4 legs, some at 3 on 2."""
+    site_dim = draw(st.sampled_from([2, 2, 2, 3]))
+    n = draw(st.integers(2, 4)) if site_dim == 2 else 2
+    side = site_dim**2
+    r, r_tilde = (
+        Operator.from_rows(site_dim, 2, [draw(st.lists(SMALL_INT, min_size=side, max_size=side))
+                                         for _ in range(side)])
+        for _ in range(2)
+    )
+    return r, draw(st.sampled_from([r, r_tilde])), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_pairs())
+def test_commutation_rows_of_random_braids_match_reference(pair):
+    check_commutation_rows(*pair)
+
+
 @pytest.mark.parametrize("which", [0, 5, -1])
 def test_kernel_verification_rejects_one_changed_entry(which):
     r = ybt.catalog.get("six_vertex").r
-    braids = [embed(braid_matrix(r), [i, i + 1], 4) for i in range(1, 4)]
-    rows = [row for b in braids for row in _commutation_equations(b, b)]
+    rows = _commutation_rows(r, r, 4)
     basis = _kernel_basis(rows, 16**2)
     assert len(basis) == 35
     _verify_kernel(rows, basis)

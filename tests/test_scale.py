@@ -5,8 +5,9 @@ of side 256; the fused swap of site_dim 3 on 6 legs has side 729.  Both are
 compared exactly: a zero residual is the Fraction 0, and the fused swap is
 matched entry for entry against the block swap written out densely here.
 The commutants of identity(3, 2) on 5 legs (59049 unknowns) and of
-six_vertex on 7 legs are checked against closed-form dimensions, and two
-smaller bases are pinned by the sha256 of their kernel vectors.
+six_vertex on 7 legs are checked against closed-form dimensions; two
+smaller commutant bases and two intertwiner bases (between a catalog R and
+its twist) are pinned by the sha256 of their kernel vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ from math import comb
 
 import pytest
 
-from ybt import Operator, catalog, fuse_r, identity, mixed_ybe_residual, r_symmetric_space, swap
+from ybt import (
+    Operator,
+    apply_twist,
+    catalog,
+    fuse_r,
+    identity,
+    intertwiner_space,
+    mixed_ybe_residual,
+    r_symmetric_space,
+    swap,
+)
 
 BLOCKS = [(3, 3, 2), (3, 2, 3), (2, 3, 3)]
 
@@ -93,3 +104,15 @@ def test_six_vertex_n6_basis_is_pinned():
     assert kernel_digest(space) == (
         "2c14f24d69860f92b1ae7304ebaba7b5467630620a6d7d3fcfa28f0e626afd75"
     )
+
+
+# pinned before the commutation rows were built from the two-leg block;
+# here r_tilde is not r, unlike in the commutants above
+@pytest.mark.parametrize("name, n, digest", [
+    ("diag_twist", 5, "ee0c97ab58d5b3d5d956ac270e989758dd44b2dc4f0152d697009de74e8dbb33"),
+    ("jordanian", 4, "a665d62ad85820e6e87db69e95786ee9ad883720d8708b593193182cb5e9a1b9"),
+])
+def test_intertwiner_basis_against_the_twist_is_pinned(name, n, digest):
+    entry = catalog.get(name)
+    space = intertwiner_space(entry.r, apply_twist(entry.r, entry.twist.f), n)
+    assert kernel_digest(space) == digest

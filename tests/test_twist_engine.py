@@ -9,6 +9,7 @@ import pytest
 
 from ybt import (
     CheckReport,
+    Operator,
     TwistPair,
     apply_twist,
     aux_identity_residual,
@@ -213,6 +214,29 @@ def test_gauge_warns_on_non_symmetric_elements(six_vertex_entry):
         gauge_transform(
             pair, identity(2, 1), u2, identity(2, 3), r=six_vertex_entry.r
         )
+
+
+def singular_operator(rng, legs, drop):
+    """A random integer operator whose last `drop` rows repeat combinations of the others."""
+    side = 2**legs
+    rows = [[rng.randint(-3, 3) for _ in range(side)] for _ in range(side - drop)]
+    for _ in range(drop):
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return Operator.from_rows(2, legs, rows)
+
+
+@pytest.mark.parametrize("slot, drop", [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3)])
+def test_gauge_rejects_a_singular_element_with_its_rank(jordanian_entry, slot, drop):
+    rng = random.Random(10 * slot + drop)
+    gauge = [identity(2, 1), identity(2, 2), identity(2, 3)]
+    gauge[slot] = singular_operator(rng, slot + 1, drop)
+    with pytest.raises(SingularOperatorError) as expected:
+        invert(gauge[slot])
+    with pytest.raises(SingularOperatorError) as got:
+        gauge_transform(jordanian_entry.twist, *gauge)
+    assert got.value.rank == expected.value.rank < gauge[slot].side
+    assert got.value.side == gauge[slot].side
 
 
 def test_check_report_gates_and_tolerance():
