@@ -48,26 +48,36 @@ def scalar_from_obj(raw, backend: str, where: str) -> Scalar:
     return complex(raw[0], raw[1])
 
 
-def operator_to_obj(op: Operator) -> dict:
-    """The file form of `op`, built from its stored entries.
+def _file_value(backend: str, values, den: int = 1):
+    """Map each stored value (over `den`) to its file form.
+
+    Equal rational values share one string.
+    """
+    if backend == RATIONAL:
+        return {v: str(Fraction(v, den)) for v in values}.__getitem__
+    return lambda v: [v.real, v.imag]
+
+
+def _file_form(site_dim: int, legs: int, backend: str, nonzero) -> dict:
+    """The file form of a matrix from its nonzero (row, column, file value) entries.
 
     Every zero entry of the result is one shared object: the string "0",
     or the complex zero [0.0, 0.0].
     """
-    if op.backend == RATIONAL:
-        values = {v for row in op.entries for _, v in row}
-        text = {v: str(Fraction(v, op.den)) for v in values}
-        zero, nonzero = "0", [[(j, text[v]) for j, v in row] for row in op.entries]
-    else:
-        zero = [0.0, 0.0]
-        nonzero = [[(j, [v.real, v.imag]) for j, v in row] for row in op.entries]
-    side, rows = op.side, []
-    for row in nonzero:
-        out = [zero] * side
-        for j, v in row:
-            out[j] = v
-        rows.append(out)
-    return {"scalar": op.backend, "site_dim": op.site_dim, "legs": op.legs, "rows": rows}
+    zero = "0" if backend == RATIONAL else [0.0, 0.0]
+    side = site_dim**legs
+    rows = [[zero] * side for _ in range(side)]
+    for i, j, v in nonzero:
+        rows[i][j] = v
+    return {"scalar": backend, "site_dim": site_dim, "legs": legs, "rows": rows}
+
+
+def operator_to_obj(op: Operator) -> dict:
+    """The file form of `op`, built from its stored entries."""
+    value = _file_value(op.backend, {v for row in op.entries for _, v in row}, op.den)
+    return _file_form(op.site_dim, op.legs, op.backend, (
+        (i, j, value(v)) for i, row in enumerate(op.entries) for j, v in row
+    ))
 
 
 def operator_from_obj(obj, where: str = "operator") -> Operator:
@@ -88,17 +98,36 @@ def operator_from_obj(obj, where: str = "operator") -> Operator:
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != side:
         raise FormatError(f"rows must be a list of {side} rows", f"{where}.rows")
+    # each distinct rational entry string is parsed once per operator
+    known: dict[str, Fraction] = {}
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != side:
             raise FormatError(f"row must hold {side} entries", f"{where}.rows[{i}]")
-        parsed.append(
-            tuple(
-                scalar_from_obj(v, backend, f"{where}.rows[{i}][{j}]")
-                for j, v in enumerate(row)
-            )
-        )
-    return Operator(site_dim, legs, backend, tuple(parsed))
+        try:
+            parsed.append([known[v] for v in row])
+        except (KeyError, TypeError):  # a new string, or an entry that is not one
+            parsed.append(_parse_row(row, backend, known, f"{where}.rows[{i}]"))
+    return Operator(site_dim, legs, backend, parsed)
+
+
+def _parse_row(row: list, backend: str, known: dict[str, Fraction], where: str) -> list:
+    """Entries of one row, adding new rational strings to `known`.
+
+    The position of an entry is formatted only when the entry is rejected.
+    """
+    out = []
+    for j, v in enumerate(row):
+        x = known.get(v) if type(v) is str else None
+        if x is None:
+            try:
+                x = scalar_from_obj(v, backend, "")
+            except FormatError as exc:
+                raise FormatError(str(exc), f"{where}[{j}]") from None
+            if type(v) is str:
+                known[v] = x
+        out.append(x)
+    return out
 
 
 def twist_pair_to_obj(pair) -> dict:
@@ -117,9 +146,21 @@ def twist_pair_from_obj(obj, where: str = "pair"):
 
 
 def subspace_to_obj(basis) -> dict:
+    """The file form of `basis`, written from the exact vectors of its elements.
+
+    Each element comes out as `operator_to_obj` writes its operator, so a
+    solver basis is written without building its operators.
+    """
+    side = basis.site_dim**basis.legs
+    value = _file_value(basis.backend, {v for vec in basis.vectors for v in vec.values()})
     return {
         "dimension": basis.dimension,
-        "basis": [operator_to_obj(op) for op in basis.basis],
+        "basis": [
+            _file_form(basis.site_dim, basis.legs, basis.backend, (
+                (*divmod(k, side), value(v)) for k, v in vec.items()
+            ))
+            for vec in basis.vectors
+        ],
     }
 
 

@@ -15,14 +15,15 @@ form), and the result is expanded back over every unknown.  Every
 reported basis element is re-verified by substitution into every distinct
 defining row, in one sweep over the rows against an index of the basis by
 unknown.
-A solved basis keeps its sparse integer kernel vectors, so membership tests
-and certificate searches never read the dense operators back.  Membership
-reads each coefficient off a cached reduced echelon form of the basis (a
-solver basis already is one) and then checks the combination exactly.
-Deciding whether a computed subspace holds an invertible element is done
-by a seeded randomized search with an explicit budget; each attempt is
-accepted when its integer rows reach full rank, and a miss is evidence,
-never a proof of non-existence.
+A solved basis is stored as its sparse integer kernel vectors alone; its
+operators are built only when ``basis`` is first read, and no query here
+reads them: dimension, membership, certificates and the file form all run
+on the vectors.  Membership reads each coefficient off a cached reduced
+echelon form of the basis (a solver basis already is one) and then checks
+the combination exactly.  Deciding whether a computed subspace holds an
+invertible element is done by a seeded randomized search with an explicit
+budget; each attempt is accepted when its integer rows reach full rank,
+and a miss is evidence, never a proof of non-existence.
 """
 
 from __future__ import annotations
@@ -56,7 +57,15 @@ DEFAULT_SIZE_CAP = 64
 
 
 class SubspaceBasis(Record):
-    """Linearly independent operators spanning an exact solution space."""
+    """Linearly independent operators spanning an exact solution space.
+
+    A basis returned by the solvers stores only its integer kernel vectors
+    (`vectors`); its operators, the ``basis`` field, are built from them
+    once, the first time ``basis`` is read (by ``repr``, ``==``, ``hash``
+    or a loop over the elements).  Every query in this module reads the
+    vectors, so a solve that is only measured, tested or written out
+    builds no operator.
+    """
 
     site_dim: int
     legs: int
@@ -72,19 +81,34 @@ class SubspaceBasis(Record):
             ):
                 raise ShapeMismatchError("basis elements must share one space")
 
+    @cached_property
+    def basis(self) -> tuple[Operator, ...]:
+        """The elements as operators; a solver basis builds them from its vectors."""
+        return tuple(_from_flat(self.site_dim, self.legs, 1, v) for v in self.vectors)
+
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
     @cached_property
     def vectors(self) -> tuple[dict[int, Scalar], ...]:
         """Exact sparse vector of each element: row-major entry index -> entry.
 
-        The solvers hand over the integer kernel vectors they computed; any
-        other basis reads them off its operators once, on first use.  The
-        dicts are shared, not copied: treat them as read-only.
+        A solver basis is stored as its integer kernel vectors; any other
+        basis reads them off its operators once, on first use.  The dicts
+        are shared, not copied: treat them as read-only.
         """
         return tuple(_vectorize(op) for op in self.basis)
+
+    def _integer_vectors(self) -> tuple[int, list[dict[int, int]]]:
+        """``(den, ints)``: each element times ``den``, the elements' common denominator."""
+        if "basis" not in vars(self):  # a solver basis: integer vectors, den 1
+            return 1, list(self.vectors)
+        den = math.lcm(*(op.den for op in self.basis))
+        return den, [
+            v if den == 1 else {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+            for v in self.vectors
+        ]
 
     @cached_property
     def echelon(self) -> tuple[int, dict[int, tuple[dict[int, int], dict[int, int]]]]:
@@ -101,14 +125,10 @@ class SubspaceBasis(Record):
         integer kernel on the rows of ``[V | I]``, with the columns in
         descending order so that each pivot is a last nonzero.
         """
-        if self.basis:
-            _require_exact(self.basis[0], "echelon")
         d = self.dimension
-        den = math.lcm(*(op.den for op in self.basis))
-        ints = [
-            v if den == 1 else {k: x.numerator * (den // x.denominator) for k, x in v.items()}
-            for v in self.vectors
-        ]
+        if d:
+            _require_exact(self, "echelon")
+        den, ints = self._integer_vectors()
         lasts = {max(v) for v in ints if v}
         # reduced already: distinct last nonzeros, each absent from every other vector
         if len(lasts) == d and sum(k in lasts for v in ints for k in v) == d:
@@ -246,13 +266,14 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
     its free column.  The one- and two-term rows are first collapsed by a
     weighted union-find (`_collapse`): each component of unknowns tied by
     them is a multiple of its root, its largest member.  The longer rows,
-    substituted onto the live roots, form a small system that the integer
-    kernel eliminates, sparsest rows first; each of its kernel vectors is
-    expanded back over the members of its roots.  Roots keep the order of
-    their largest members, so the expanded vectors are the reduced echelon
-    basis of the whole system, which is unique: the basis does not depend
-    on the order or positive scaling of the rows.  Every vector is then
-    re-verified against the original rows.
+    substituted onto the live roots and kept once per set equal up to
+    sign, form a small system that the integer kernel eliminates, sparsest
+    rows first; each of its kernel vectors is expanded back over the
+    members of its roots.  Roots keep the order of their largest members,
+    so the expanded vectors are the reduced echelon basis of the whole
+    system, which is unique: the basis does not depend on the order or
+    positive scaling of the rows.  Every vector is then re-verified against
+    the original rows.
     """
     int_rows = [row for row in int_rows if row]
     parent, num, den, dead, longer = _collapse(int_rows, num_vars)
@@ -260,8 +281,9 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
     for i, r in enumerate(parent):
         if r not in dead:
             members.setdefault(r, []).append(i)
-    # substitute x_j = num[j] / den[j] * x_root over the live roots
-    small = []
+    # substitute x_j = num[j] / den[j] * x_root over the live roots, keeping
+    # one content-free row, lowest root positive, of each set equal up to sign
+    small: dict[frozenset, dict[int, int]] = {}
     for row in longer:
         lcm = math.lcm(*(den[j] for j in row))
         sub: dict[int, int] = {}
@@ -271,9 +293,12 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
                 sub[r] = sub.get(r, 0) + a * num[j] * (lcm // den[j])
         sub = {r: v for r, v in sub.items() if v}
         if sub:
-            small.append(_primitive(sub))
+            sub = _primitive(sub)
+            if sub[min(sub)] < 0:
+                sub = {r: -v for r, v in sub.items()}
+            small.setdefault(frozenset(sub.items()), sub)
     basis = []
-    for y in _echelon_kernel(small, sorted(members)):
+    for y in _echelon_kernel(list(small.values()), sorted(members)):
         lcm = math.lcm(*(den[m] for r in y for m in members[r]))
         vec = {m: v * num[m] * (lcm // den[m]) for r, v in y.items() for m in members[r]}
         vec = _primitive(vec)
@@ -301,10 +326,9 @@ def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
 
 
 def _solved_basis(site_dim: int, legs: int, vectors: list[dict[int, int]]) -> SubspaceBasis:
-    ops = tuple(_from_flat(site_dim, legs, 1, v) for v in vectors)
-    basis = SubspaceBasis(site_dim, legs, RATIONAL, ops)
-    # seed the cached property: the kernel vectors are the exact entries
-    basis.__dict__["vectors"] = tuple(vectors)
+    # the kernel vectors are the exact entries; ``basis`` is built on first read
+    basis = object.__new__(SubspaceBasis)
+    vars(basis).update(site_dim=site_dim, legs=legs, backend=RATIONAL, vectors=tuple(vectors))
     return basis
 
 
@@ -313,8 +337,8 @@ def _solved_basis(site_dim: int, legs: int, vectors: list[dict[int, int]]) -> Su
 # ---------------------------------------------------------------------------
 
 
-def _require_exact(op: Operator, what: str):
-    if op.backend != RATIONAL:
+def _require_exact(value: Operator | SubspaceBasis, what: str):
+    if value.backend != RATIONAL:
         raise BackendMismatchError(
             f"{what} requires the rational backend; complex matrices can only "
             "be checked for residuals, not solved exactly"
@@ -492,7 +516,7 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     ):
         raise ShapeMismatchError("operator does not live in the basis space")
     _require_exact(op, "membership_coefficients")
-    if not basis.basis:
+    if not basis.dimension:
         return None
     den, echelon = basis.echelon
     target = _to_flat(op)
@@ -526,18 +550,15 @@ def invertible_certificate(
     value.  A returned certificate is exact; a miss is explicitly not a
     proof that no invertible element exists.
     """
-    if not basis.basis:
+    d = basis.dimension
+    if not d:
         return None
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    _require_exact(basis.basis[0], "invertible_certificate")
+    _require_exact(basis, "invertible_certificate")
     rng = random.Random(seed)
-    d = basis.dimension
     # sum c_i B_i in ints, over the common denominator of the elements
-    den = math.lcm(*(op.den for op in basis.basis))
-    entries = [
-        [(k, v * (den // op.den)) for k, v in _to_flat(op).items()] for op in basis.basis
-    ]
+    den, entries = basis._integer_vectors()
     for attempt in range(budget):
         if attempt == 0:
             coeffs = [1] * d
@@ -549,7 +570,7 @@ def invertible_certificate(
         acc: dict[int, int] = {}
         for c, nonzero in zip(coeffs, entries):
             if c:
-                for k, v in nonzero:
+                for k, v in nonzero.items():
                     acc[k] = acc.get(k, 0) + c * v
         combo = _from_flat(basis.site_dim, basis.legs, den, acc)
         if _rank(combo) == combo.side:

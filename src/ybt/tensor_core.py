@@ -92,7 +92,11 @@ class Record:
     """Immutable value whose fields are its class annotations, in order.
 
     Fields are passed positionally or by keyword; a field with a class-level
-    value has that value as its default.  After the fields are set,
+    value has that value as its default.  A ``cached_property`` named after
+    a field is not a default: the constructor still requires the field, and
+    the property computes it, once, for an instance made without the
+    constructor from other state (as the solvers make a ``SubspaceBasis``
+    from its kernel vectors).  After the fields are set,
     ``__post_init__`` runs.  Equality and hashing compare the fields as one
     tuple, between instances of the same class, and ``repr`` shows them as
     ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
@@ -106,7 +110,11 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        given = cls.__dict__
+        cls._defaults = {
+            name: given[name] for name in cls._fields
+            if name in given and not isinstance(given[name], cached_property)
+        }
         # not a method: called as self._values(self), it returns the field values
         cls._values = attrgetter(*cls._fields)
 

@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from ybt import COMPLEX64, Operator, identity_pair
+from ybt import (
+    COMPLEX64,
+    RATIONAL,
+    Operator,
+    SubspaceBasis,
+    apply_twist,
+    catalog,
+    identity,
+    identity_pair,
+    intertwiner_space,
+)
 from ybt.errors import FormatError
 from ybt.formats import (
     canonical_dumps,
@@ -20,6 +30,7 @@ from ybt.formats import (
     operator_from_obj,
     operator_to_obj,
     parse_rational,
+    pretty_dumps,
     save_operator,
     subspace_from_obj,
     subspace_to_obj,
@@ -122,6 +133,25 @@ def test_twist_pair_roundtrip():
         twist_pair_from_obj({"f": operator_to_obj(pair.f)})
 
 
+def _twisted_intertwiners(name: str, n: int):
+    entry = catalog.get(name)
+    return intertwiner_space(entry.r, apply_twist(entry.r, entry.twist.f), n)
+
+
+# solver bases, stored as their kernel vectors, and bases built from operators
+SUBSPACES = {
+    "identity(3,2) n=3": lambda: r_symmetric_space(identity(3, 2), 3),
+    "diag_twist intertwiners n=4": lambda: _twisted_intertwiners("diag_twist", 4),
+    "fractional": lambda: SubspaceBasis(2, 1, RATIONAL, (
+        Operator.from_rows(2, 1, [[Fraction(-3, 4), 2], [0, Fraction(1, 6)]]),
+        Operator.from_rows(2, 1, [[0, 0], [5, Fraction(7, 2)]]),
+    )),
+    "complex": lambda: SubspaceBasis(2, 1, COMPLEX64, (
+        Operator.from_rows(2, 1, [[1 + 2j, 0.5], [0, -1j]], backend=COMPLEX64),
+    )),
+}
+
+
 def test_subspace_roundtrip():
     basis = r_symmetric_space(swap(2), 2)
     obj = subspace_to_obj(basis)
@@ -131,6 +161,33 @@ def test_subspace_roundtrip():
     obj["dimension"] += 1
     with pytest.raises(FormatError):
         subspace_from_obj(obj)
+
+
+@pytest.mark.parametrize("name", sorted(SUBSPACES))
+def test_subspace_file_form_is_written_from_the_vectors(name):
+    basis = SUBSPACES[name]()
+    solved = "basis" not in vars(basis)
+    assert solved == (name not in ("complex", "fractional"))
+    obj = subspace_to_obj(basis)
+    assert obj["dimension"] == basis.dimension
+    # a solver basis is written from its vectors, with no operator built
+    assert ("basis" not in vars(basis)) == solved
+    # and in the bytes that the operators of every element give
+    by_operator = {"dimension": basis.dimension,
+                   "basis": [operator_to_obj(op) for op in basis.basis]}
+    assert pretty_dumps(obj) == pretty_dumps(by_operator)
+    assert subspace_from_obj(obj) == basis
+
+
+@pytest.mark.parametrize("bad", ["1/0", "three halves", 1, ["1", "0"], None])
+def test_bad_entry_deep_in_a_subspace_is_located_exactly(bad):
+    obj = subspace_to_obj(r_symmetric_space(identity(2, 2), 3))
+    assert obj["dimension"] > 3
+    obj["basis"][3]["rows"][5][7] = bad
+    with pytest.raises(FormatError) as err:
+        subspace_from_obj(obj)
+    assert err.value.where == "subspace.basis[3].rows[5][7]"
+    assert str(err.value).endswith("(at subspace.basis[3].rows[5][7])")
 
 
 def test_components_roundtrip():

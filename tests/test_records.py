@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from ybt import CheckReport, Operator, SubspaceBasis, TwistPair, catalog, identity_pair
+from ybt import (
+    CheckReport,
+    Operator,
+    SubspaceBasis,
+    TwistPair,
+    catalog,
+    identity,
+    identity_pair,
+    r_symmetric_space,
+)
 from ybt.catalog import CatalogEntry
 from ybt.errors import ShapeMismatchError
 
@@ -34,6 +43,23 @@ def _basis():
     other = Operator.from_rows(2, 1, [[0, 0], [1, 0]])
     return SubspaceBasis(2, 1, "rational", (_operator(), other))
 
+
+def _solved():
+    """A solver basis: stored as its kernel vectors, no operator built yet."""
+    return r_symmetric_space(identity(2, 2), 2)
+
+
+def _solved_and_read():
+    basis = _solved()
+    basis.basis  # builds and caches the operators
+    return basis
+
+
+def _rebuild_basis(x):
+    return SubspaceBasis(x.site_dim, x.legs, x.backend, x.basis)
+
+
+BASIS_FIELDS = ("site_dim", "legs", "backend", "basis")
 
 # each record, a rebuild from its own fields, its fields, and whether it is hashable
 CASES = {
@@ -62,6 +88,8 @@ CASES = {
         ("site_dim", "legs", "backend", "basis"),
         True,
     ),
+    "SubspaceBasis solved": (_solved, _rebuild_basis, BASIS_FIELDS, True),
+    "SubspaceBasis solved, basis read": (_solved_and_read, _rebuild_basis, BASIS_FIELDS, True),
 }
 
 

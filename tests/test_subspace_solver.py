@@ -34,6 +34,7 @@ from ybt import (
     swap,
 )
 from ybt.errors import BackendMismatchError, ShapeMismatchError, SizeCapError
+from ybt.formats import subspace_to_obj
 
 from conftest import rand_invertible
 
@@ -136,6 +137,36 @@ def test_three_leg_intertwiner_between_twist_related_matrices(six_vertex_entry):
     space = intertwiner_space(r, twisted, 3)
     assert membership_coefficients(space, six_vertex_entry.twist.g) is not None
     assert invertible_certificate(space, budget=10, seed=0) is not None
+
+
+def test_solver_basis_builds_its_operators_only_when_read(six_vertex_entry):
+    r = six_vertex_entry.r
+    twisted = apply_twist(r, six_vertex_entry.twist.f)
+    space = intertwiner_space(r, twisted, 3)
+    assert space.dimension > 0 and space.is_independent()  # reads the echelon form
+    assert membership_coefficients(space, six_vertex_entry.twist.g) is not None
+    assert invertible_certificate(space, budget=10, seed=0) is not None
+    assert subspace_to_obj(space)["dimension"] == space.dimension
+    assert "basis" not in vars(space)
+    # the operators, built here from dense rows of the vectors, not by the solver
+    side = space.site_dim**space.legs
+    eager = SubspaceBasis(space.site_dim, space.legs, space.backend, tuple(
+        Operator.from_rows(space.site_dim, space.legs,
+                           [[v.get(i * side + j, 0) for j in range(side)] for i in range(side)])
+        for v in space.vectors
+    ))
+    first_reads = [
+        lambda b: b.basis == eager.basis,
+        lambda b: b == eager,
+        lambda b: hash(b) == hash(eager),
+        lambda b: repr(b) == repr(eager),
+    ]
+    for first_read in first_reads:
+        fresh = intertwiner_space(r, twisted, 3)
+        assert first_read(fresh)
+        assert fresh.basis is fresh.basis  # built once, then cached
+    ops = space.basis
+    assert space == eager and space.basis is ops
 
 
 def test_membership_rejects_outsiders(six_vertex_entry):
