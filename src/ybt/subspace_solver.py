@@ -4,17 +4,23 @@ The defining relations are linear in the unknown operator Z, vectorized
 row-major.  They are sparse integer rows built once from the two-leg
 block: the rows of D (b Z - Z bt) over the d^4 local unknowns are read off
 the stored entries of the two braid matrices (D their common denominator),
-one row is kept of each set of rows equal up to a nonzero scale, and each
-kept row is shifted to every position and environment.  No braid matrix
-is embedded.  Most rows have two terms and only tie one unknown to a
-multiple of another, so a weighted union-find collapses the one- and
-two-term rows first; the longer rows, rewritten over the component roots,
-are solved by the fraction-free integer elimination kernel of
-``tensor_core`` (forward pass, sparsest rows first, then reduced echelon
-form), and the result is expanded back over every unknown.  Every
-reported basis element is re-verified by substitution into every distinct
-defining row, in one sweep over the rows against an index of the basis by
-unknown.
+and one row is kept of each set of rows equal up to a nonzero scale.  One
+pass of the shared integer kernel then picks a maximal independent subset
+of these local rows, sparsest first, and writes each other local row as an
+exact integer combination of the picked ones; the combinations are
+checked entry by entry, and only the picked rows are shifted to every
+position and environment.  No braid matrix is embedded.  Most rows have
+two terms and only tie one unknown to a multiple of another, so a
+weighted union-find collapses the one- and two-term rows first; the
+longer rows, rewritten over the component roots, are solved by the
+fraction-free integer elimination kernel of ``tensor_core`` (forward
+pass, sparsest rows first, then reduced echelon form), and the result is
+expanded back over every unknown.  Every reported basis element is
+re-verified by substitution into every shifted picked row, in one sweep
+over the rows against an index of the basis by unknown.  Each shifted
+copy of a dropped row is the same combination of the copies of the
+picked rows at its position and environment, so the basis is verified
+against every distinct defining row.
 A solved basis is stored as its sparse integer kernel vectors alone; its
 operators are built only when ``basis`` is first read, and no query here
 reads them: dimension, membership, certificates and the file form all run
@@ -355,7 +361,8 @@ def _local_rows(r: Operator, r_tilde: Operator) -> list[tuple[tuple[int, int], .
     Each row comes back as its (key, coefficient) terms in ascending key
     order, content-free with a positive first coefficient, and a row that
     repeats an earlier one up to a nonzero scale is dropped: it has the same
-    solutions.
+    solutions.  Rows that are combinations of several others are still
+    here; the solver drops those with `_independent_rows`.
     """
     b = braid_matrix(r)
     bt = b if r_tilde is r else braid_matrix(r_tilde)
@@ -383,22 +390,72 @@ def _local_rows(r: Operator, r_tilde: Operator) -> list[tuple[tuple[int, int], .
     return list(kept)
 
 
-def _commutation_rows(r: Operator, r_tilde: Operator, n: int) -> list[dict[int, int]]:
-    """Integer rows of B_i Z - Z Bt_i = 0 over vec(Z), for i = 1..n-1.
+def _independent_rows(local: list[tuple[tuple[int, int], ...]], width: int):
+    """Split local rows into a maximal independent subset and exact combinations.
 
-    B_i acts as the braid matrix of r on legs i and i + 1, Bt_i as that of
-    r_tilde, so each row of position i is a distinct two-leg row
-    (`_local_rows`) shifted into place.  With s = d^(n-i-1), local unknown
-    Z[g, e] sits at offset g * s * side + e * s, and the environment, the
-    digits of row and column outside the two legs, adds
+    The rows go sparsest first through one pass of the shared integer
+    kernel (`_eliminate`), each tagged with an identity column after the
+    ``width`` local keys, so that the tags record the combination behind
+    every reduced row.  The tags count down in feed order, so a row's own
+    tag is the lowest one it carries.  A row that leaves a local key is
+    kept and becomes a pivot there; a row that reduces to tags alone
+    becomes the pivot of its own tag, and reads ``t0 * row + sum(t_j *
+    row_j) = 0`` over kept rows only, with t0 != 0.  Returns ``(kept,
+    dropped)``: ``kept`` lists the kept rows in their order in `local`, and
+    each entry of ``dropped`` is ``(row, w0, w)`` with ``w0 * row ==
+    sum(w[i] * kept[i])``, which `_check_dependencies` verifies.
+    """
+    order = sorted(range(len(local)), key=lambda i: len(local[i]))
+    top = width + len(local)
+    tag = {i: top - pos for pos, i in enumerate(order)}
+    tagged = [dict(local[i]) | {tag[i]: 1} for i in order]
+    relations = {order[top - c]: row for c, row in _eliminate(tagged).items() if c >= width}
+    at = {}
+    kept = []
+    for i, row in enumerate(local):
+        if i not in relations:
+            at[tag[i]] = len(kept)
+            kept.append(row)
+    dropped = []
+    for i, rel in relations.items():
+        w0 = rel.pop(tag[i])
+        dropped.append((local[i], w0, {at[t]: -v for t, v in rel.items()}))
+    return kept, dropped
+
+
+def _check_dependencies(kept, dropped):
+    """Raise `YbtError` unless each dropped row is the combination it carries.
+
+    For each ``(row, w0, w)`` of `_independent_rows`, ``w0 * row`` must
+    equal ``sum(w[i] * kept[i])`` at every local key, with w0 != 0.  A
+    shift to one position and environment maps every local row by the same
+    linear map, so every solution of the kept rows' shifted copies then
+    solves the dropped rows' copies too.
+    """
+    for row, w0, w in dropped:
+        diff = {k: w0 * v for k, v in row}
+        for i, wi in w.items():
+            for k, v in kept[i]:
+                diff[k] = diff.get(k, 0) - wi * v
+        if not w0 or any(diff.values()):
+            raise YbtError("a dropped local row is not the combination it carries")
+
+
+def _shifted_rows(
+    local: list[tuple[tuple[int, int], ...]], site_dim: int, n: int
+) -> list[dict[int, int]]:
+    """Each local row shifted to every position i = 1..n-1 and environment.
+
+    With s = d^(n-i-1), local unknown Z[g, e] sits at offset
+    g * s * side + e * s, and the environment, the digits of row and
+    column outside legs i and i + 1, adds
     (a_hi * d^2 * s + a_lo) * side + (b_hi * d^2 * s + b_lo).  Rows come
     position by position; within a position, each local row in turn at
     every environment.
     """
-    d = r.site_dim
+    d = site_dim
     q = d * d
     side = d**n
-    local = _local_rows(r, r_tilde)
     rows = []
     for i in range(1, n):
         s = d ** (n - i - 1)
@@ -408,6 +465,17 @@ def _commutation_rows(r: Operator, r_tilde: Operator, n: int) -> list[dict[int, 
             shifted = [((k // q) * s * side + (k % q) * s, v) for k, v in terms]
             rows.extend({base + o: v for o, v in shifted} for base in bases)
     return rows
+
+
+def _commutation_rows(r: Operator, r_tilde: Operator, n: int) -> list[dict[int, int]]:
+    """Integer rows of B_i Z - Z Bt_i = 0 over vec(Z), for i = 1..n-1.
+
+    B_i acts as the braid matrix of r on legs i and i + 1, Bt_i as that of
+    r_tilde, so the rows of position i are every distinct two-leg row
+    (`_local_rows`) shifted into place (`_shifted_rows`).  The solver
+    shifts only an independent subset of them (`_solve_pairs`).
+    """
+    return _shifted_rows(_local_rows(r, r_tilde), r.site_dim, n)
 
 
 def _check_cap(site_dim: int, n: int, size_cap: int):
@@ -422,9 +490,13 @@ def _solve_pairs(
     r: Operator, r_tilde: Operator, n: int, size_cap: int
 ) -> SubspaceBasis:
     _check_cap(r.site_dim, n, size_cap)
-    side = r.site_dim**n
-    rows = _commutation_rows(r, r_tilde, n)
-    return _solved_basis(r.site_dim, n, _kernel_basis(rows, side * side))
+    d = r.site_dim
+    # the dropped rows are certified at the two-leg level, so only the
+    # kept ones are shifted, solved and re-verified against the basis
+    kept, dropped = _independent_rows(_local_rows(r, r_tilde), d**4)
+    _check_dependencies(kept, dropped)
+    rows = _shifted_rows(kept, d, n)
+    return _solved_basis(d, n, _kernel_basis(rows, d ** (2 * n)))
 
 
 def r_symmetric_space(

@@ -21,7 +21,8 @@ Exact linear algebra on the rational backend rests on one kernel: integer
 rows are reduced by fraction-free, content-stripped sparse elimination
 (``_eliminate``), optionally followed by one reduced echelon pass
 (``_back_substitute``).  Solves ``a^-1 b``, inverses, determinants, ranks
-and the null spaces of ``subspace_solver`` all come from it.
+and the null spaces of ``subspace_solver`` all come from it, and so does
+the solver's choice of independent rows.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is

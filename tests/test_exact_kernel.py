@@ -33,6 +33,7 @@ from ybt import (
     braid_matrix,
     determinant,
     embed,
+    intertwiner_space,
     invert,
     invertible_certificate,
     kron,
@@ -41,10 +42,18 @@ from ybt import (
     r_symmetric_space,
     residual,
     solve,
+    ybe_residual,
 )
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
-from ybt.subspace_solver import _commutation_rows, _kernel_basis, _local_rows, _verify_kernel
+from ybt.subspace_solver import (
+    _check_dependencies,
+    _commutation_rows,
+    _independent_rows,
+    _kernel_basis,
+    _local_rows,
+    _verify_kernel,
+)
 from ybt.twist_engine import apply_twist
 
 # ---------------------------------------------------------------------------
@@ -561,6 +570,13 @@ def normalised(row):
     return tuple((k, v // g) for k, v in zip(keys, ints))
 
 
+def local_rank(local, site_dim):
+    """Rank of local rows over the d^4 local unknowns, by the Fraction reference."""
+    width = site_dim**4
+    dense = [[dict(row).get(k, 0) for k in range(width)] for row in local]
+    return len(ref_rref(dense, width)[1])
+
+
 def check_commutation_rows(r, r_tilde, n):
     rows = _commutation_rows(r, r_tilde, n)
     reference = reference_commutation_rows(r, r_tilde, n)
@@ -581,6 +597,12 @@ def check_commutation_rows(r, r_tilde, n):
     num_vars = r.site_dim ** (2 * n)
     assert _kernel_basis(rows, num_vars) == _kernel_basis(
         [dict(row) for row in {normalised(row) for row in reference}], num_vars)
+    # the solver shifts only an independent subset of the local rows, as
+    # many as their rank, and still returns the kernel of every distinct row
+    local = _local_rows(r, r_tilde)
+    kept, _ = _independent_rows(local, r.site_dim**4)
+    assert len(kept) == local_rank(kept, r.site_dim) == local_rank(local, r.site_dim)
+    assert list(intertwiner_space(r, r_tilde, n).vectors) == _kernel_basis(rows, num_vars)
 
 
 @pytest.mark.parametrize("name", ybt.catalog.names())
@@ -613,6 +635,68 @@ def braid_pairs(draw):
 @given(braid_pairs())
 def test_commutation_rows_of_random_braids_match_reference(pair):
     check_commutation_rows(*pair)
+
+
+def jimbo_sl3(q):
+    """Jimbo's U_q(sl_3) R: q sum E_ii x E_ii + sum_{i != j} E_ii x E_jj
+    + (q - 1/q) sum_{i < j} E_ij x E_ji."""
+    rows = [[Fraction(0)] * 9 for _ in range(9)]
+    for i in range(3):
+        for j in range(3):
+            rows[3 * i + j][3 * i + j] = q if i == j else Fraction(1)
+            if i < j:
+                rows[3 * i + j][3 * j + i] = q - 1 / q
+    return Operator.from_rows(3, 2, rows)
+
+
+def test_sl3_commutants_have_the_symmetric_power_dimensions():
+    r = jimbo_sl3(Fraction(3, 2))
+    assert ybe_residual(r) == 0
+    local = _local_rows(r, r)
+    kept, dropped = _independent_rows(local, 3**4)
+    assert (len(local), len(kept), len(dropped)) == (45, 36, 9)
+    _check_dependencies(kept, dropped)
+    for n in (2, 3):
+        check_commutation_rows(r, r, n)
+    # at generic q the commutant has the classical dimension C(n + 8, 8)
+    for n, dim in ((2, 45), (3, 165), (4, 495)):
+        space = r_symmetric_space(r, n, size_cap=81)
+        assert space.dimension == dim == math.comb(n + 8, 8)
+        assert list(space.vectors) == _kernel_basis(_commutation_rows(r, r, n), 9**n)
+
+
+@pytest.mark.parametrize("which", [0, 4, -1])
+def test_dependency_certificate_rejects_one_changed_entry(which):
+    r = jimbo_sl3(Fraction(3, 2))
+    kept, dropped = _independent_rows(_local_rows(r, r), 3**4)
+    _check_dependencies(kept, dropped)
+    row, w0, w = dropped[which]
+    for k in range(len(row)):
+        changed = list(row)
+        changed[k] = (row[k][0], row[k][1] + 1)
+        forged = list(dropped)
+        forged[which] = (tuple(changed), w0, w)
+        with pytest.raises(YbtError):
+            _check_dependencies(kept, forged)
+    # a zero leading weight certifies nothing, even with an empty sum
+    with pytest.raises(YbtError):
+        _check_dependencies(kept, [(row, 0, {})])
+    _check_dependencies(kept, dropped)
+
+
+def test_solver_rejects_a_forged_dependency(monkeypatch):
+    # drop an independent row with a made-up combination: the solve must
+    # raise before it shifts the remaining rows
+    import ybt.subspace_solver as solver
+
+    def forged(local, width):
+        kept, dropped = _independent_rows(local, width)
+        return kept[1:], [(kept[0], 1, {0: 1})] + dropped
+
+    r = ybt.catalog.get("six_vertex").r
+    monkeypatch.setattr(solver, "_independent_rows", forged)
+    with pytest.raises(YbtError):
+        r_symmetric_space(r, 3)
 
 
 @pytest.mark.parametrize("which", [0, 5, -1])
@@ -970,6 +1054,26 @@ def test_kernel_verification_raises_under_optimized_python():
         "from ybt.subspace_solver import _verify_kernel\n"
         "try:\n"
         "    _verify_kernel([{0: 1, 1: 1}], [{0: 1}])\n"
+        "except YbtError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_dependency_certificate_raises_under_optimized_python():
+    code = (
+        "import ybt\n"
+        "from ybt.errors import YbtError\n"
+        "from ybt.subspace_solver import _check_dependencies, _independent_rows, _local_rows\n"
+        "r = ybt.catalog.get('six_vertex').r\n"
+        "kept, dropped = _independent_rows(_local_rows(r, r), 16)\n"
+        "_check_dependencies(kept, dropped)\n"
+        "(row, w0, w), = dropped\n"
+        "row = row[:-1] + ((row[-1][0], row[-1][1] + 1),)\n"
+        "try:\n"
+        "    _check_dependencies(kept, [(row, w0, w)])\n"
         "except YbtError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
