@@ -17,12 +17,15 @@ run through the same sparse kernels, and they never mix silently.
 ``Operator.rows`` is the dense view (``Fraction`` or ``complex`` entries),
 built on first access and cached.
 
-Exact linear algebra on the rational backend rests on one kernel: integer
-rows are reduced by fraction-free, content-stripped sparse elimination
-(``_eliminate``), optionally followed by one reduced echelon pass
-(``_back_substitute``).  Solves ``a^-1 b``, inverses, determinants, ranks
-and the null spaces of ``subspace_solver`` all come from it, and so does
-the solver's choice of independent rows.
+Exact linear algebra on the rational backend rests on two integer
+kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
+choice of independent rows come from fraction-free, content-stripped
+sparse elimination (``_eliminate``), optionally followed by one reduced
+echelon pass (``_back_substitute``); so do solves ``a^-1 b``, inverses and
+determinants when `a` is sparse.  When `a` is at least a quarter full (the
+row rule of ``@``, applied to the whole matrix) they take one dense
+forward Bareiss pass (``_bareiss``, Bareiss 1968) and, for a solve, exact
+back substitution.  Both routes give the same stored form.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -605,7 +608,73 @@ def _augmented_rows(a: Operator, b: Operator) -> list[dict[int, int]]:
             for arow, brow in zip(a.entries, b.entries)]
 
 
-def _solve_rational(a: Operator, b: Operator) -> Operator:
+def _is_dense(x: Operator) -> bool:
+    """At least a quarter full: the row rule of ``@``, over the whole matrix."""
+    return sum(map(len, x.entries)) * 4 >= x.side**2
+
+
+def _dense_rows(x: Operator) -> list[list[int]]:
+    """The stored values of `x` as dense integer rows."""
+    out = [[0] * x.side for _ in x.entries]
+    for dense, row in zip(out, x.entries):
+        for j, v in row:
+            dense[j] = v
+    return out
+
+
+def _bareiss(m: list[list[int]], side: int) -> int:
+    """Fraction-free forward elimination of the first `side` columns, in place.
+
+    Below each pivot p_k, Bareiss's rule (p_k x - f y) // p_{k-1} divides
+    exactly; rows are swapped when the diagonal is zero.  Entries left of
+    the diagonal are left stale, so row i is read from column i on.
+    Returns the sign of the row permutation, which times the last pivot
+    ``m[-1][side - 1]`` is the determinant of the first `side` columns, or
+    0 when a column has no pivot.
+    """
+    prev = sign = 1
+    for k in range(side):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, side) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        p, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign
+
+
+def _solve_dense(a: Operator, b: Operator) -> Operator:
+    """a^-1 b by one forward Bareiss pass over [A | B] and exact back substitution.
+
+    The pass leaves rows [U | C] with U upper triangular.  With d the last
+    pivot, X = d A^-1 B is an integer matrix whose row i is
+    (d c_i - sum_{j>i} u_ij X_j) // u_ii, solved from the bottom row up;
+    then a^-1 b = a.den X / (d b.den).
+    """
+    side = a.side
+    m = [x + y for x, y in zip(_dense_rows(a), _dense_rows(b))]
+    if not _bareiss(m, side):
+        raise SingularOperatorError(side, _rank(a))
+    d = m[-1][side - 1]
+    solved = [None] * side
+    for i in reversed(range(side)):
+        row = m[i]
+        acc = [d * v for v in row[side:]]
+        for j in range(i + 1, side):
+            if row[j]:
+                acc = [s - row[j] * x for s, x in zip(acc, solved[j])]
+        solved[i] = [s // row[i] for s in acc]
+    num = a.den if d > 0 else -a.den
+    rows = [tuple([(j, num * v) for j, v in enumerate(x) if v]) for x in solved]
+    return _finish(a.site_dim, a.legs, RATIONAL, abs(d) * b.den, rows)
+
+
+def _solve_sparse(a: Operator, b: Operator) -> Operator:
+    """a^-1 b by `_eliminate` and `_back_substitute` of the sparse rows of [A | B]."""
     side = a.side
     pivots = _eliminate(_augmented_rows(a, b))
     rank = sum(1 for c in pivots if c < side)
@@ -658,12 +727,16 @@ def solve(a: Operator, b: Operator) -> Operator:
     """a^-1 b, from one elimination of [A | B] without forming the inverse.
 
     On the rational backend the result is exact, and equal to
-    ``invert(a) @ b``; on the complex backend it is that product.  Raises
-    :class:`SingularOperatorError` carrying the rank of `a`.
+    ``invert(a) @ b``; on the complex backend it is that product.  A
+    rational `a` at least a quarter full (the density rule of ``@``) takes
+    one forward Bareiss pass and exact back substitution; a sparser one
+    takes ``_eliminate`` and ``_back_substitute``.  Both give the same
+    stored form.  Raises :class:`SingularOperatorError` carrying the rank
+    of `a`.
     """
     _check_same_space(a, b)
     if a.backend == RATIONAL:
-        return _solve_rational(a, b)
+        return (_solve_dense if _is_dense(a) else _solve_sparse)(a, b)
     return _invert_complex(a) @ b
 
 
@@ -675,12 +748,41 @@ def invert(x: Operator) -> Operator:
     :class:`SingularOperatorError` carrying the rank found.
     """
     if x.backend == RATIONAL:
-        return _solve_rational(x, identity(x.site_dim, x.legs))
+        return solve(x, identity(x.site_dim, x.legs))
     return _invert_complex(x)
 
 
+def _determinant_dense(x: Operator) -> Fraction:
+    """The sign of the row swaps times the last Bareiss pivot, over den^side."""
+    m = _dense_rows(x)
+    return Fraction(_bareiss(m, x.side) * m[-1][-1], x.den**x.side)
+
+
+def _determinant_sparse(x: Operator) -> Fraction:
+    """The determinant from `_eliminate` of the sparse rows of [X | I]."""
+    side = x.side
+    pivots = _eliminate(_augmented_rows(x, identity(x.site_dim, x.legs)))
+    if any(c not in pivots for c in range(side)):
+        return Fraction(0)
+    # The pivot rows are [U | L] with U = L X upper triangular.  The row for
+    # pivot c descends from input row origin[c], the last column its
+    # identity part touches, so L is a row permutation of a lower-triangular
+    # matrix and det x = sign * prod(diag U) / prod(diag L) / den^side.
+    origin = [max(pivots[c]) - side for c in range(side)]
+    num, den = 1, x.den**side
+    for c, i in enumerate(origin):
+        num *= pivots[c][c]
+        den *= pivots[c][side + i]
+    inversions = sum(a > b for k, a in enumerate(origin) for b in origin[k + 1:])
+    return Fraction(-num if inversions % 2 else num, den)
+
+
 def determinant(x: Operator):
-    """Exact determinant (rational) or partial-pivot LU determinant (complex)."""
+    """Exact determinant (rational) or partial-pivot LU determinant (complex).
+
+    A rational `x` takes the Bareiss pass of ``solve`` when at least a
+    quarter full, and the sparse elimination of [X | I] otherwise.
+    """
     side = x.side
     if x.backend == COMPLEX64:
         m = [list(row) for row in x.rows]
@@ -699,17 +801,4 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    pivots = _eliminate(_augmented_rows(x, identity(x.site_dim, x.legs)))
-    if any(c not in pivots for c in range(side)):
-        return Fraction(0)
-    # The pivot rows are [U | L] with U = L X upper triangular.  The row for
-    # pivot c descends from input row origin[c], the last column its
-    # identity part touches, so L is a row permutation of a lower-triangular
-    # matrix and det x = sign * prod(diag U) / prod(diag L) / den^side.
-    origin = [max(pivots[c]) - side for c in range(side)]
-    num, den = 1, x.den**side
-    for c, i in enumerate(origin):
-        num *= pivots[c][c]
-        den *= pivots[c][side + i]
-    inversions = sum(a > b for k, a in enumerate(origin) for b in origin[k + 1:])
-    return Fraction(-num if inversions % 2 else num, den)
+    return (_determinant_dense if _is_dense(x) else _determinant_sparse)(x)

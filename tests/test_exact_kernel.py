@@ -1,15 +1,17 @@
 """The exact kernels against naive dense references.
 
-Inverse, determinant, the rank carried by SingularOperatorError, and the
-null spaces behind r_symmetric_space and membership_coefficients all come
-from one fraction-free elimination; the null spaces first collapse their
-one- and two-term rows with a union-find.  The reference below shares no
-code with it: plain Gauss-Jordan over Fraction, written for clarity only.
-Solves a^-1 b are checked against the reduced form of [A | B].  The
-sparse operator kernels (products, sums, Kronecker products, leg
-permutations, embeddings, residuals) are checked on both backends against
-dense list arithmetic, and every way of building an operator must give
-the same stored form.
+The rank carried by SingularOperatorError and the null spaces behind
+r_symmetric_space and membership_coefficients come from one sparse
+fraction-free elimination; the null spaces first collapse their one- and
+two-term rows with a union-find.  Solves, inverses and determinants take
+that elimination, or a dense Bareiss pass when the matrix is at least a
+quarter full; the two routes are also checked against each other.  The
+reference below shares no code with either: plain Gauss-Jordan over
+Fraction, written for clarity only.  Solves a^-1 b are checked against
+the reduced form of [A | B].  The sparse operator kernels (products,
+sums, Kronecker products, leg permutations, embeddings, residuals) are
+checked on both backends against dense list arithmetic, and every way of
+building an operator must give the same stored form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybt
@@ -53,6 +55,14 @@ from ybt.subspace_solver import (
     _kernel_basis,
     _local_rows,
     _verify_kernel,
+)
+from ybt.tensor_core import (
+    _determinant_dense,
+    _determinant_sparse,
+    _is_dense,
+    _rank,
+    _solve_dense,
+    _solve_sparse,
 )
 from ybt.twist_engine import apply_twist
 
@@ -219,17 +229,81 @@ def test_solve_matches_reference_and_shares_the_rank_of_invert(rows, data):
 
 @pytest.mark.parametrize("side, seed", [(16, 0), (20, 1), (24, 2)])
 def test_solve_of_large_dense_entries_matches_reference(side, seed):
-    # rows reduced by many pivots with large leading entries, so the
-    # elimination strips content part-way through a row as well as at its end
+    # dense, so solve and determinant take the Bareiss pass, which carries
+    # the large entries whole; the sparse route of the same rows reduces
+    # them by many pivots with large leading entries, so `_eliminate`
+    # strips content part-way through a row as well as at its end
     rng = random.Random(seed)
     rows = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(side)]
             for _ in range(side)]
     rhs = [[Fraction(rng.randint(-9, 9)) for _ in range(side)] for _ in range(side)]
     reduced, pivots = ref_rref([r + b for r, b in zip(rows, rhs)], 2 * side)
     assert pivots == list(range(side))
-    got = solve(as_operator(rows), as_operator(rhs))
+    a, b = as_operator(rows), as_operator(rhs)
+    assert _is_dense(a)
+    got = solve(a, b)
     assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
-    assert determinant(as_operator(rows)) == ref_det(rows)
+    assert _solve_sparse(a, b) == got
+    assert determinant(a) == _determinant_sparse(a) == ref_det(rows)
+
+
+@pytest.mark.parametrize("side, seed", [(24, 3), (32, 4)])
+def test_sparse_solve_of_large_entries_matches_reference(side, seed):
+    # under a quarter full, so solve takes `_eliminate`; fill-in and the
+    # 2^20-sized pivots make it strip content part-way through a row
+    rng = random.Random(seed)
+    rows = [[Fraction(0)] * side for _ in range(side)]
+    for i, row in enumerate(rows):
+        for j in {i, *rng.sample(range(side), side // 4 - 2)}:
+            row[j] = Fraction(rng.randint(2**20, 2**24) * rng.choice((-1, 1)), rng.randint(1, 9))
+    rhs = [[Fraction(rng.randint(-9, 9)) for _ in range(side)] for _ in range(side)]
+    a, b = as_operator(rows), as_operator(rhs)
+    assert not _is_dense(a)
+    reduced, pivots = ref_rref([r + e for r, e in zip(rows, rhs)], 2 * side)
+    assert pivots == list(range(side))
+    got = solve(a, b)
+    assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
+    assert got == _solve_dense(a, b)
+    assert determinant(a) == _determinant_dense(a) == ref_det(rows)
+
+
+def with_rhs(rows):
+    side = len(rows)
+    return st.tuples(st.just(rows), st.lists(
+        st.lists(ENTRY, min_size=side, max_size=side), min_size=side, max_size=side))
+
+
+def fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def route_result(route, a, b):
+    try:
+        return route(a, b)
+    except SingularOperatorError as err:
+        return err.side, err.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices().flatmap(with_rhs))
+# the last pivot, the determinant of the integer rows of a, is negative
+@example((fractions([["1/2", 0], [0, "-1/3"]]), fractions([[1, 2], [0, "5/4"]])))
+# exactly a quarter full (nnz * 4 == side * side), and pivoting needs row swaps
+@example((fractions([[0, "1/2", 0, 0], [0, 0, 0, "-5/3"], [7, 0, 0, 0], [0, 0, "2/9", 0]]),
+          [[Fraction(i - j, 1 + i) for j in range(4)] for i in range(4)]))
+def test_dense_and_sparse_routes_agree(system):
+    # dividing by 11 puts a factor 11 in both denominators unless all zero
+    rows, rhs = system
+    side = len(rows)
+    a = as_operator([[v / 11 for v in row] for row in rows])
+    b = as_operator([[v / 11 for v in row] for row in rhs])
+    assert a.den % 11 == 0 or not any(a.entries)
+    assert b.den % 11 == 0 or not any(b.entries)
+    dense, sparse = route_result(_solve_dense, a, b), route_result(_solve_sparse, a, b)
+    assert dense == sparse
+    if not isinstance(dense, Operator):
+        assert dense == (side, _rank(a))
+    assert _determinant_dense(a) == _determinant_sparse(a)
 
 
 def complex_bits(x):
