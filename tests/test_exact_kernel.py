@@ -1,10 +1,10 @@
 """The exact kernels against naive dense references.
 
-The rank carried by SingularOperatorError and the null spaces behind
-r_symmetric_space and membership_coefficients come from one sparse
-fraction-free elimination; the null spaces first collapse their one- and
-two-term rows with a union-find.  Solves, inverses and determinants take
-that elimination, or a dense Bareiss pass when the matrix is at least a
+Determinants, the rank carried by SingularOperatorError and the null
+spaces behind r_symmetric_space and membership_coefficients come from one
+sparse fraction-free elimination; the null spaces first collapse their
+one- and two-term rows with a union-find.  Solves and inverses take that
+elimination, or a dense Bareiss pass when the matrix is at least a
 quarter full; the two routes are also checked against each other.  The
 reference below shares no code with either: plain Gauss-Jordan over
 Fraction, written for clarity only.  Solves a^-1 b are checked against
@@ -57,8 +57,6 @@ from ybt.subspace_solver import (
     _verify_kernel,
 )
 from ybt.tensor_core import (
-    _determinant_dense,
-    _determinant_sparse,
     _is_dense,
     _rank,
     _solve_dense,
@@ -229,10 +227,10 @@ def test_solve_matches_reference_and_shares_the_rank_of_invert(rows, data):
 
 @pytest.mark.parametrize("side, seed", [(16, 0), (20, 1), (24, 2)])
 def test_solve_of_large_dense_entries_matches_reference(side, seed):
-    # dense, so solve and determinant take the Bareiss pass, which carries
-    # the large entries whole; the sparse route of the same rows reduces
-    # them by many pivots with large leading entries, so `_eliminate`
-    # strips content part-way through a row as well as at its end
+    # dense, so solve takes the Bareiss pass, which carries the large
+    # entries whole; determinant and the sparse route of the same rows
+    # reduce them by many pivots with large leading entries, so
+    # `_eliminate` strips content part-way through a row as well as at its end
     rng = random.Random(seed)
     rows = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(side)]
             for _ in range(side)]
@@ -244,7 +242,7 @@ def test_solve_of_large_dense_entries_matches_reference(side, seed):
     got = solve(a, b)
     assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
     assert _solve_sparse(a, b) == got
-    assert determinant(a) == _determinant_sparse(a) == ref_det(rows)
+    assert determinant(a) == ref_det(rows)
 
 
 @pytest.mark.parametrize("side, seed", [(24, 3), (32, 4)])
@@ -264,7 +262,7 @@ def test_sparse_solve_of_large_entries_matches_reference(side, seed):
     got = solve(a, b)
     assert checked_rows(got) == tuple(tuple(row[side:]) for row in reduced)
     assert got == _solve_dense(a, b)
-    assert determinant(a) == _determinant_dense(a) == ref_det(rows)
+    assert determinant(a) == ref_det(rows)
 
 
 def with_rhs(rows):
@@ -303,7 +301,6 @@ def test_dense_and_sparse_routes_agree(system):
     assert dense == sparse
     if not isinstance(dense, Operator):
         assert dense == (side, _rank(a))
-    assert _determinant_dense(a) == _determinant_sparse(a)
 
 
 def complex_bits(x):
