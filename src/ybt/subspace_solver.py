@@ -7,20 +7,16 @@ the stored entries of the two braid matrices (D their common denominator),
 and one row is kept of each set of rows equal up to a nonzero scale.  One
 pass of the shared integer kernel then picks a maximal independent subset
 of these local rows, sparsest first, and writes each other local row as an
-exact integer combination of the picked ones; the combinations are
-checked entry by entry, and only the picked rows are shifted to every
-position and environment.  No braid matrix is embedded.  Most rows have
-two terms and only tie one unknown to a multiple of another, so a
-weighted union-find collapses the one- and two-term rows first; the
-longer rows, rewritten over the component roots, are solved by the
-fraction-free integer elimination kernel of ``tensor_core`` (forward
-pass, sparsest rows first, then reduced echelon form), and the result is
-expanded back over every unknown.  Every reported basis element is
-re-verified by substitution into every shifted picked row, in one sweep
-over the rows against an index of the basis by unknown.  Each shifted
-copy of a dropped row is the same combination of the copies of the
-picked rows at its position and environment, so the basis is verified
-against every distinct defining row.
+exact integer combination of the picked ones, checked entry by entry.  A
+shift to a position and environment adds one offset to every key, so each
+picked row is solved as a group: its terms at one position and the list
+of that position's environment offsets; no shifted row is built.  A
+weighted union-find collapses the one- and two-term rows straight from
+the groups; the longer rows, rewritten over the component roots, go to
+the integer elimination kernel of ``tensor_core``.  Every basis element
+is re-verified by substitution into every row of every group.  A shifted
+dropped row is the same combination of the picked rows' copies, so every
+distinct row is verified.
 A solved basis is stored as its sparse integer kernel vectors alone; its
 operators are built only when ``basis`` is first read, and no query here
 reads them: dimension, membership, certificates and the file form all run
@@ -170,8 +166,8 @@ def _vectorize(op: Operator) -> dict[int, Scalar]:
     return flat if den == 1 else {k: Fraction(v, den) for k, v in flat.items()}
 
 
-def _collapse(rows: list[dict[int, int]], num_vars: int):
-    """Weighted union-find over the one- and two-term rows.
+def _collapse(groups, num_vars: int):
+    """Weighted union-find over the one- and two-term rows of the groups.
 
     A row a x_i + b x_j = 0 makes x_i = (-b/a) x_j; a one-term row zeroes
     its unknown.  Returns ``(parent, num, den, dead, longer)``: every
@@ -179,7 +175,7 @@ def _collapse(rows: list[dict[int, int]], num_vars: int):
     is the largest member of its component (a root is its own parent, with
     ratio 1) and den[i] > 0; ``dead`` holds the roots of components forced
     to zero (a one-term row, or a cycle whose ratio product is not 1);
-    ``longer`` lists the rows of three or more terms, untouched.
+    ``longer`` lists the groups of three or more terms, untouched.
     """
     parent = list(range(num_vars))
     num = [1] * num_vars
@@ -202,35 +198,37 @@ def _collapse(rows: list[dict[int, int]], num_vars: int):
             parent[j], num[j], den[j] = i, n, d
         return i
 
-    for row in rows:
-        if len(row) > 2:
-            longer.append(row)
+    for terms, offsets in groups:
+        if len(terms) > 2:
+            longer.append((terms, offsets))
             continue
-        if len(row) == 1:
-            dead.add(find(next(iter(row))))
+        if len(terms) == 1:
+            dead.update(find(terms[0][0] + o) for o in offsets)
             continue
-        (i, a), (j, b) = row.items()
-        # most unknowns are a root or hang right under one
-        ri, rj = parent[i], parent[j]
-        if parent[ri] != ri:
-            ri = find(i)
-        if parent[rj] != rj:
-            rj = find(j)
-        # a x_i + b x_j = 0 over the roots, cleared of the positive dens
-        a, b = a * num[i] * den[j], b * num[j] * den[i]
-        if ri == rj:
-            if a + b:
-                dead.add(ri)
-            continue
-        if ri > rj:
-            ri, rj, a, b = rj, ri, b, a
-        # x_ri = (-b / a) x_rj: the smaller root goes under the larger one
-        n, d = (-b, a) if a > 0 else (b, -a)
-        g = math.gcd(n, d)
-        parent[ri], num[ri], den[ri] = rj, n // g, d // g
-        if ri in dead:
-            dead.discard(ri)
-            dead.add(rj)
+        (ki, a0), (kj, b0) = terms
+        for o in offsets:
+            i, j = ki + o, kj + o
+            # most unknowns are a root or hang right under one
+            ri, rj = parent[i], parent[j]
+            if parent[ri] != ri:
+                ri = find(i)
+            if parent[rj] != rj:
+                rj = find(j)
+            # a x_i + b x_j = 0 over the roots, cleared of the positive dens
+            a, b = a0 * num[i] * den[j], b0 * num[j] * den[i]
+            if ri == rj:
+                if a + b:
+                    dead.add(ri)
+                continue
+            if ri > rj:
+                ri, rj, a, b = rj, ri, b, a
+            # x_ri = (-b / a) x_rj: the smaller root goes under the larger one
+            n, d = (-b, a) if a > 0 else (b, -a)
+            g = math.gcd(n, d)
+            parent[ri], num[ri], den[ri] = rj, n // g, d // g
+            if ri in dead:
+                dead.discard(ri)
+                dead.add(rj)
     for i, r in enumerate(parent):
         if parent[r] != r:
             find(i)
@@ -264,25 +262,24 @@ def _echelon_kernel(rows: list[dict[int, int]], columns) -> list[dict[int, int]]
     return vectors
 
 
-def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[int, int]]:
-    """Canonical basis of the exact solution set of the integer rows of A x = 0.
+def _kernel_basis(groups, num_vars: int) -> list[dict[int, int]]:
+    """Canonical basis of the exact solution set of grouped integer rows.
 
-    Basis vectors are integer, content-free, leading entry positive, one
-    per free column in ascending column order; a vector's last nonzero is
-    its free column.  The one- and two-term rows are first collapsed by a
-    weighted union-find (`_collapse`): each component of unknowns tied by
-    them is a multiple of its root, its largest member.  The longer rows,
-    substituted onto the live roots and kept once per set equal up to
-    sign, form a small system that the integer kernel eliminates, sparsest
-    rows first; each of its kernel vectors is expanded back over the
-    members of its roots.  Roots keep the order of their largest members,
-    so the expanded vectors are the reduced echelon basis of the whole
-    system, which is unique: the basis does not depend on the order or
-    positive scaling of the rows.  Every vector is then re-verified against
-    the original rows.
+    A group ``(terms, offsets)`` stands for the rows ``{o + k: v for k, v
+    in terms}``, one for each o in ``offsets``; a lone row is the group
+    ``(terms, (0,))``.  Basis vectors are integer, content-free, leading
+    entry positive, one per free column in ascending order, where each has
+    its last nonzero.  One- and two-term rows are collapsed first
+    (`_collapse`); the longer rows, substituted onto the live roots and
+    kept once per set equal up to sign, are eliminated sparsest first, and
+    each kernel vector is expanded back over the members of its roots.
+    Roots keep the order of their largest members, so the result is the
+    unique reduced echelon basis of the system, whatever the order or
+    positive scaling of the rows.
+    Every vector is then re-verified.
     """
-    int_rows = [row for row in int_rows if row]
-    parent, num, den, dead, longer = _collapse(int_rows, num_vars)
+    groups = [group for group in groups if group[0]]
+    parent, num, den, dead, longer = _collapse(groups, num_vars)
     members: dict[int, list[int]] = {}
     for i, r in enumerate(parent):
         if r not in dead:
@@ -290,19 +287,21 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
     # substitute x_j = num[j] / den[j] * x_root over the live roots, keeping
     # one content-free row, lowest root positive, of each set equal up to sign
     small: dict[frozenset, dict[int, int]] = {}
-    for row in longer:
-        lcm = math.lcm(*(den[j] for j in row))
-        sub: dict[int, int] = {}
-        for j, a in row.items():
-            r = parent[j]
-            if r in members:
-                sub[r] = sub.get(r, 0) + a * num[j] * (lcm // den[j])
-        sub = {r: v for r, v in sub.items() if v}
-        if sub:
-            sub = _primitive(sub)
-            if sub[min(sub)] < 0:
-                sub = {r: -v for r, v in sub.items()}
-            small.setdefault(frozenset(sub.items()), sub)
+    for terms, offsets in longer:
+        for o in offsets:
+            lcm = math.lcm(*(den[k + o] for k, _ in terms))
+            sub: dict[int, int] = {}
+            for k, a in terms:
+                j = k + o
+                r = parent[j]
+                if r in members:
+                    sub[r] = sub.get(r, 0) + a * num[j] * (lcm // den[j])
+            sub = {r: v for r, v in sub.items() if v}
+            if sub:
+                sub = _primitive(sub)
+                if sub[min(sub)] < 0:
+                    sub = {r: -v for r, v in sub.items()}
+                small.setdefault(frozenset(sub.items()), sub)
     basis = []
     for y in _echelon_kernel(list(small.values()), sorted(members)):
         lcm = math.lcm(*(den[m] for r in y for m in members[r]))
@@ -311,23 +310,41 @@ def _kernel_basis(int_rows: list[dict[int, int]], num_vars: int) -> list[dict[in
         if vec[min(vec)] < 0:
             vec = {j: -v for j, v in vec.items()}
         basis.append(vec)
-    _verify_kernel(int_rows, basis)
+    _verify_kernel(groups, basis)
     return basis
 
 
-def _verify_kernel(int_rows: list[dict[int, int]], basis: list[dict[int, int]]):
-    # independent substitution: index the basis by unknown, then sum every
-    # original row against every vector in one sweep over the rows
-    at: dict[int, list[tuple[int, int]]] = {}
+def _verify_kernel(groups, basis: list[dict[int, int]]):
+    # independent substitution of every vector into every row of every group;
+    # a two-term row with each unknown in exactly one vector is checked directly
+    only: dict[int, tuple[int, int]] = {}
+    many: dict[int, list[tuple[int, int]]] = {}
     for b, vec in enumerate(basis):
         for j, val in vec.items():
-            at.setdefault(j, []).append((b, val))
-    for row in int_rows:
+            if j in many:
+                many[j].append((b, val))
+            elif j in only:
+                many[j] = [only.pop(j), (b, val)]
+            else:
+                only[j] = (b, val)
+
+    def fails(terms, o) -> bool:
         sums: dict[int, int] = {}
-        for j, coef in row.items():
-            for b, val in at.get(j, ()):
+        for k, coef in terms:
+            j = k + o
+            for b, val in (only[j],) if j in only else many.get(j, ()):
                 sums[b] = sums.get(b, 0) + coef * val
-        if any(sums.values()):
+        return any(sums.values())
+
+    for terms, offsets in groups:
+        if len(terms) == 2:
+            (ki, a), (kj, c) = terms
+            for o in offsets:
+                vi, vj = only.get(ki + o), only.get(kj + o)
+                if (fails(terms, o) if vi is None or vj is None
+                        else vi[0] != vj[0] or a * vi[1] + c * vj[1]):
+                    raise YbtError("kernel vector fails its system")
+        elif any(fails(terms, o) for o in offsets):
             raise YbtError("kernel vector fails its system")
 
 
@@ -441,41 +458,26 @@ def _check_dependencies(kept, dropped):
             raise YbtError("a dropped local row is not the combination it carries")
 
 
-def _shifted_rows(
-    local: list[tuple[tuple[int, int], ...]], site_dim: int, n: int
-) -> list[dict[int, int]]:
-    """Each local row shifted to every position i = 1..n-1 and environment.
+def _shifted_groups(local: list[tuple[tuple[int, int], ...]], site_dim: int, n: int):
+    """One group (see `_kernel_basis`) per position i = 1..n-1 and local row.
 
-    With s = d^(n-i-1), local unknown Z[g, e] sits at offset
-    g * s * side + e * s, and the environment, the digits of row and
-    column outside legs i and i + 1, adds
-    (a_hi * d^2 * s + a_lo) * side + (b_hi * d^2 * s + b_lo).  Rows come
-    position by position; within a position, each local row in turn at
-    every environment.
+    With s = d^(n-i-1), local unknown Z[g, e] sits at g * s * side + e * s,
+    and each environment, the digits of row and column outside legs i and
+    i + 1, adds the offset (a_hi * d^2 * s + a_lo) * side + (b_hi * d^2 * s
+    + b_lo).  A position's offsets are listed once, shared by its groups.
     """
     d = site_dim
     q = d * d
     side = d**n
-    rows = []
+    groups = []
     for i in range(1, n):
         s = d ** (n - i - 1)
         outside = [a_hi * q * s + a_lo for a_hi in range(d ** (i - 1)) for a_lo in range(s)]
-        bases = [a * side + b for a in outside for b in outside]
+        offsets = [a * side + b for a in outside for b in outside]
         for terms in local:
-            shifted = [((k // q) * s * side + (k % q) * s, v) for k, v in terms]
-            rows.extend({base + o: v for o, v in shifted} for base in bases)
-    return rows
-
-
-def _commutation_rows(r: Operator, r_tilde: Operator, n: int) -> list[dict[int, int]]:
-    """Integer rows of B_i Z - Z Bt_i = 0 over vec(Z), for i = 1..n-1.
-
-    B_i acts as the braid matrix of r on legs i and i + 1, Bt_i as that of
-    r_tilde, so the rows of position i are every distinct two-leg row
-    (`_local_rows`) shifted into place (`_shifted_rows`).  The solver
-    shifts only an independent subset of them (`_solve_pairs`).
-    """
-    return _shifted_rows(_local_rows(r, r_tilde), r.site_dim, n)
+            shifted = tuple(((k // q) * s * side + (k % q) * s, v) for k, v in terms)
+            groups.append((shifted, offsets))
+    return groups
 
 
 def _check_cap(site_dim: int, n: int, size_cap: int):
@@ -486,17 +488,15 @@ def _check_cap(site_dim: int, n: int, size_cap: int):
         )
 
 
-def _solve_pairs(
-    r: Operator, r_tilde: Operator, n: int, size_cap: int
-) -> SubspaceBasis:
+def _solve_pairs(r: Operator, r_tilde: Operator, n: int, size_cap: int) -> SubspaceBasis:
     _check_cap(r.site_dim, n, size_cap)
     d = r.site_dim
     # the dropped rows are certified at the two-leg level, so only the
     # kept ones are shifted, solved and re-verified against the basis
     kept, dropped = _independent_rows(_local_rows(r, r_tilde), d**4)
     _check_dependencies(kept, dropped)
-    rows = _shifted_rows(kept, d, n)
-    return _solved_basis(d, n, _kernel_basis(rows, d ** (2 * n)))
+    groups = _shifted_groups(kept, d, n)
+    return _solved_basis(d, n, _kernel_basis(groups, d ** (2 * n)))
 
 
 def r_symmetric_space(

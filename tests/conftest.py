@@ -35,6 +35,18 @@ def diag_operator(values, site_dim: int = 2, legs: int = 2) -> Operator:
     return Operator.from_rows(site_dim, legs, rows)
 
 
+def jimbo_sl3(q):
+    """Jimbo's U_q(sl_3) R: q sum E_ii x E_ii + sum_{i != j} E_ii x E_jj
+    + (q - 1/q) sum_{i < j} E_ij x E_ji."""
+    rows = [[Fraction(0)] * 9 for _ in range(9)]
+    for i in range(3):
+        for j in range(3):
+            rows[3 * i + j][3 * i + j] = q if i == j else Fraction(1)
+            if i < j:
+                rows[3 * i + j][3 * j + i] = q - 1 / q
+    return Operator.from_rows(3, 2, rows)
+
+
 @pytest.fixture(scope="session")
 def six_vertex_entry():
     from ybt import catalog

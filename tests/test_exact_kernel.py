@@ -50,10 +50,10 @@ from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
 from ybt.subspace_solver import (
     _check_dependencies,
-    _commutation_rows,
     _independent_rows,
     _kernel_basis,
     _local_rows,
+    _shifted_groups,
     _verify_kernel,
 )
 from ybt.tensor_core import (
@@ -63,6 +63,8 @@ from ybt.tensor_core import (
     _solve_sparse,
 )
 from ybt.twist_engine import apply_twist
+
+from conftest import jimbo_sl3
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -111,6 +113,11 @@ def integer_row(row):
     """A sparse Fraction row scaled to integers by the lcm of its denominators."""
     lcm = math.lcm(*(v.denominator for v in row.values()))
     return {j: int(v * lcm) for j, v in row.items()}
+
+
+def plain(rows):
+    """Rows given as dicts, as the groups of `_kernel_basis`: each at the one offset 0."""
+    return [(tuple(row.items()), (0,)) for row in rows]
 
 
 def ref_kernel(rows, ncols):
@@ -355,7 +362,7 @@ def test_kernel_basis_matches_reference(args):
     rows = [row[:num_vars] + [Fraction(0)] * (num_vars - len(row)) for row in square]
     eqs = [{j: v for j, v in enumerate(row) if v} for row in rows]
     int_rows = [integer_row(e) for e in eqs]
-    assert _kernel_basis(int_rows, num_vars) == ref_kernel(rows, num_vars)
+    assert _kernel_basis(plain(int_rows), num_vars) == ref_kernel(rows, num_vars)
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,8 +376,8 @@ def test_kernel_basis_ignores_row_order_and_positive_scale(args, data):
     scales = data.draw(st.lists(st.integers(1, 12), min_size=len(int_rows),
                                 max_size=len(int_rows)))
     moved = [{j: s * v for j, v in int_rows[i].items()} for i, s in zip(order, scales)]
-    assert _kernel_basis(moved, num_vars) == _kernel_basis(int_rows, num_vars)
-    assert _kernel_basis(moved, num_vars) == ref_kernel(rows, num_vars)
+    assert _kernel_basis(plain(moved), num_vars) == _kernel_basis(plain(int_rows), num_vars)
+    assert _kernel_basis(plain(moved), num_vars) == ref_kernel(rows, num_vars)
 
 
 NONZERO = st.integers(-6, 6).filter(bool)
@@ -439,14 +446,60 @@ def short_row_systems(draw):
 def test_collapsed_kernel_basis_matches_reference(system):
     num_vars, rows = system
     dense = [[row.get(j, 0) for j in range(num_vars)] for row in rows]
-    assert _kernel_basis(rows, num_vars) == ref_kernel(dense, num_vars)
+    assert _kernel_basis(plain(rows), num_vars) == ref_kernel(dense, num_vars)
 
 
 def test_cycle_with_ratio_not_one_zeroes_only_its_component():
     # x0 = 2 x1 and x1 = x0 force x0 = x1 = 0; x2 is untouched
-    assert _kernel_basis([{0: 1, 1: -2}, {1: 1, 0: -1}], 3) == [{2: 1}]
+    assert _kernel_basis(plain([{0: 1, 1: -2}, {1: 1, 0: -1}]), 3) == [{2: 1}]
     # the same cycle closed consistently keeps one free direction
-    assert _kernel_basis([{0: 1, 1: -2}, {1: 2, 0: -1}], 3) == [{0: 2, 1: 1}, {2: 1}]
+    assert _kernel_basis(plain([{0: 1, 1: -2}, {1: 2, 0: -1}]), 3) == [{0: 2, 1: 1}, {2: 1}]
+
+
+@st.composite
+def row_groups(draw):
+    """(num_vars, groups): short integer rows, each repeated at several offsets.
+
+    A group's terms sit on the first few keys and its offsets come from
+    the whole range, so the copies of one group chain unknowns together
+    and the copies of different groups meet: components merge across
+    groups.  A two-term group is sometimes repeated with a different ratio
+    at some of its own offsets, which closes cycles whose ratio product is
+    not 1; one-term groups zero whole components, and groups of three or
+    four terms go through the substitution step.
+    """
+    n = draw(st.integers(2, 12))
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.sampled_from([s for s in (1, 2, 2, 2, 3, 4) if s <= n]))
+        span = draw(st.integers(size, min(n, size + 2)))
+        keys = sorted(draw(st.lists(st.integers(0, span - 1), min_size=size,
+                                    max_size=size, unique=True)))
+        terms = tuple((k, draw(NONZERO)) for k in keys)
+        offsets = draw(st.lists(st.integers(0, n - 1 - keys[-1]), max_size=5, unique=True))
+        groups.append((terms, offsets))
+        if size == 2 and offsets and draw(st.booleans()):
+            (i, a), (j, b) = terms
+            m = draw(st.sampled_from([-1, 2, 3]))
+            again = draw(st.lists(st.sampled_from(offsets), min_size=1, unique=True))
+            groups.append((((i, a * m), (j, b)), again))
+    return n, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_groups())
+# x_o = 2 x_(o+1) for o = 0..3, and x_1 = x_2 from another group: that
+# cycle's ratio product is 2, so x_0..x_4 are zero and x_5 is free
+@example((6, [(((0, 1), (1, -2)), [0, 1, 2, 3]), (((0, 1), (1, -1)), [1])]))
+# a three-term group over components merged by a two-term group
+@example((7, [(((0, 1), (2, -1)), [0, 1, 2, 4]), (((0, 2), (1, 1), (3, -1)), [0, 3]),
+              (((0, 5),), [6])]))
+def test_grouped_kernel_basis_matches_reference(system):
+    num_vars, groups = system
+    rows = [{o + k: v for k, v in terms} for terms, offsets in groups for o in offsets]
+    dense = [[row.get(j, 0) for j in range(num_vars)] for row in rows]
+    assert _kernel_basis(groups, num_vars) == ref_kernel(dense, num_vars)
+    assert _kernel_basis(groups, num_vars) == _kernel_basis(plain(rows), num_vars)
 
 
 def commutation_rows(b):
@@ -632,6 +685,12 @@ def reference_commutation_rows(r, r_tilde, n):
     return rows
 
 
+def commutation_dicts(r, r_tilde, n):
+    """Every shifted distinct local row as a dict: the solver's groups, expanded."""
+    groups = _shifted_groups(_local_rows(r, r_tilde), r.site_dim, n)
+    return [{o + k: v for k, v in terms} for terms, offsets in groups for o in offsets]
+
+
 def normalised(row):
     """Sorted integer terms of a row, content-free, with a positive first value."""
     keys = sorted(row)
@@ -649,7 +708,7 @@ def local_rank(local, site_dim):
 
 
 def check_commutation_rows(r, r_tilde, n):
-    rows = _commutation_rows(r, r_tilde, n)
+    rows = commutation_dicts(r, r_tilde, n)
     reference = reference_commutation_rows(r, r_tilde, n)
     # each row is stored normalised; each reference row is a multiple of
     # a builder row and each builder row a multiple of a reference row
@@ -666,14 +725,14 @@ def check_commutation_rows(r, r_tilde, n):
             group = kept[block + env: block + k * envs: envs]
             assert len(set(group)) == k
     num_vars = r.site_dim ** (2 * n)
-    assert _kernel_basis(rows, num_vars) == _kernel_basis(
-        [dict(row) for row in {normalised(row) for row in reference}], num_vars)
+    assert _kernel_basis(plain(rows), num_vars) == _kernel_basis(
+        plain([dict(row) for row in {normalised(row) for row in reference}]), num_vars)
     # the solver shifts only an independent subset of the local rows, as
     # many as their rank, and still returns the kernel of every distinct row
     local = _local_rows(r, r_tilde)
     kept, _ = _independent_rows(local, r.site_dim**4)
     assert len(kept) == local_rank(kept, r.site_dim) == local_rank(local, r.site_dim)
-    assert list(intertwiner_space(r, r_tilde, n).vectors) == _kernel_basis(rows, num_vars)
+    assert list(intertwiner_space(r, r_tilde, n).vectors) == _kernel_basis(plain(rows), num_vars)
 
 
 @pytest.mark.parametrize("name", ybt.catalog.names())
@@ -708,18 +767,6 @@ def test_commutation_rows_of_random_braids_match_reference(pair):
     check_commutation_rows(*pair)
 
 
-def jimbo_sl3(q):
-    """Jimbo's U_q(sl_3) R: q sum E_ii x E_ii + sum_{i != j} E_ii x E_jj
-    + (q - 1/q) sum_{i < j} E_ij x E_ji."""
-    rows = [[Fraction(0)] * 9 for _ in range(9)]
-    for i in range(3):
-        for j in range(3):
-            rows[3 * i + j][3 * i + j] = q if i == j else Fraction(1)
-            if i < j:
-                rows[3 * i + j][3 * j + i] = q - 1 / q
-    return Operator.from_rows(3, 2, rows)
-
-
 def test_sl3_commutants_have_the_symmetric_power_dimensions():
     r = jimbo_sl3(Fraction(3, 2))
     assert ybe_residual(r) == 0
@@ -733,7 +780,7 @@ def test_sl3_commutants_have_the_symmetric_power_dimensions():
     for n, dim in ((2, 45), (3, 165), (4, 495)):
         space = r_symmetric_space(r, n, size_cap=81)
         assert space.dimension == dim == math.comb(n + 8, 8)
-        assert list(space.vectors) == _kernel_basis(_commutation_rows(r, r, n), 9**n)
+        assert list(space.vectors) == _kernel_basis(plain(commutation_dicts(r, r, n)), 9**n)
 
 
 @pytest.mark.parametrize("which", [0, 4, -1])
@@ -773,7 +820,7 @@ def test_solver_rejects_a_forged_dependency(monkeypatch):
 @pytest.mark.parametrize("which", [0, 5, -1])
 def test_kernel_verification_rejects_one_changed_entry(which):
     r = ybt.catalog.get("six_vertex").r
-    rows = _commutation_rows(r, r, 4)
+    rows = _shifted_groups(_local_rows(r, r), 2, 4)
     basis = _kernel_basis(rows, 16**2)
     assert len(basis) == 35
     _verify_kernel(rows, basis)
@@ -786,6 +833,47 @@ def test_kernel_verification_rejects_one_changed_entry(which):
     with pytest.raises(YbtError):
         _verify_kernel(rows, changed)
     _verify_kernel(rows, basis)
+
+
+# (groups, a basis that solves them, a forged basis that must be rejected),
+# one for each branch of the sweep in `_verify_kernel`
+FORGED = {
+    # x_o = x_(o+1) at o = 0, 2: the forged x_3 breaks the ratio of its vector
+    "two-term row, one vector each": (
+        [(((0, 1), (1, -1)), (0, 2))],
+        [{0: 1, 1: 1}, {2: 1, 3: 1}],
+        [{0: 1, 1: 1}, {2: 1, 3: 2}],
+    ),
+    "two unknowns in different vectors": (
+        [(((0, 1), (1, -1)), (0, 2))],
+        [{0: 1, 1: 1}, {2: 1, 3: 1}],
+        [{0: 1, 1: 1}, {2: 1}, {3: 1}],
+    ),
+    "an unknown outside every vector": (
+        [(((0, 1), (1, -1)), (0, 2))],
+        [{0: 1, 1: 1}, {2: 1, 3: 1}],
+        [{0: 1, 1: 1}, {3: 1}],
+    ),
+    "an unknown in several vectors": (
+        [(((0, 1), (1, -1)), (0,))],
+        [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}],
+        [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 3: 1}],
+    ),
+    # x_o + x_(o+1) - 2 x_(o+2) at o = 0, 1
+    "a row of three terms": (
+        [(((0, 1), (1, 1), (2, -2)), (0, 1))],
+        [{0: 3, 1: -1, 2: 1}, {0: -2, 1: 2, 3: 1}],
+        [{0: 3, 1: -1, 2: 1}, {0: -2, 1: 2, 3: 2}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_forged_vector_is_rejected_on_every_branch(case):
+    groups, good, forged = FORGED[case]
+    _verify_kernel(groups, good)
+    with pytest.raises(YbtError):
+        _verify_kernel(groups, forged)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,10 +1212,26 @@ def test_kernel_verification_raises_under_optimized_python():
         "from ybt.errors import YbtError\n"
         "from ybt.subspace_solver import _verify_kernel\n"
         "try:\n"
-        "    _verify_kernel([{0: 1, 1: 1}], [{0: 1}])\n"
+        "    _verify_kernel([(((0, 1), (1, 1)), (0,))], [{0: 1}])\n"
         "except YbtError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_forged_vectors_are_rejected_under_optimized_python():
+    code = (
+        "from ybt.errors import YbtError\n"
+        "from ybt.subspace_solver import _verify_kernel\n"
+        f"for groups, good, forged in {list(FORGED.values())!r}:\n"
+        "    _verify_kernel(groups, good)\n"
+        "    try:\n"
+        "        _verify_kernel(groups, forged)\n"
+        "    except YbtError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     done = run_optimized(code)
     assert done.returncode == 0, done.stderr.decode()
