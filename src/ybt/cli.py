@@ -77,10 +77,7 @@ def resolve_r(ref: str) -> Operator:
 
 def resolve_f(ref: str) -> Operator:
     if ref.startswith("catalog:"):
-        entry = _resolve_entry(ref)
-        if entry.twist is None:
-            raise CatalogError(f"catalog entry {entry.name!r} carries no twist")
-        return entry.twist.f
+        return resolve_pair(ref).f
     return load_operator(ref)
 
 

@@ -121,20 +121,20 @@ class SubspaceBasis(Record):
         at c, with a zero at every other pivot, and r equals
         ``sum(w[i] * den * vectors[i])``, where ``den`` is the common
         denominator of the elements.  An element in the span of the earlier
-        ones gets no row and appears in no ``w``.  A solver basis already has
-        this form (one free column per vector), so it is taken as it is;
-        any other basis is reduced once, on first use, by the shared
+        ones gets no row and appears in no ``w``.  A solver basis has this
+        form by construction (`_kernel_basis` gives each vector its own free
+        column, its last nonzero), so its rows are its vectors, unchecked;
+        `membership_coefficients` still checks every combination exactly.
+        Any other basis is reduced once, on first use, by the shared
         integer kernel on the rows of ``[V | I]``, with the columns in
         descending order so that each pivot is a last nonzero.
         """
+        if "basis" not in vars(self):  # a solver basis
+            return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
         d = self.dimension
         if d:
             _require_exact(self, "echelon")
         den, ints = self._integer_vectors()
-        lasts = {max(v) for v in ints if v}
-        # reduced already: distinct last nonzeros, each absent from every other vector
-        if len(lasts) == d and sum(k in lasts for v in ints for k in v) == d:
-            return den, {max(v): (v, {i: 1}) for i, v in enumerate(ints)}
         # identity column i is key -1 - i, entry k is key -1 - d - k: the
         # kernel pivots at the lowest key, so at the last nonzero entry
         rows = []

@@ -18,14 +18,15 @@ run through the same sparse kernels, and they never mix silently.
 built on first access and cached.
 
 Exact linear algebra on the rational backend rests on two integer
-kernels.  Determinants, ranks, the null spaces of ``subspace_solver`` and
-the solver's choice of independent rows come from fraction-free,
-content-stripped sparse elimination (``_eliminate``), optionally followed
-by one reduced echelon pass (``_back_substitute``); so do solves
-``a^-1 b`` and inverses when `a` is sparse.  When `a` is at least a
-quarter full (the row rule of ``@``, applied to the whole matrix) they
-take one dense forward Bareiss pass (``_bareiss``, Bareiss 1968) and exact
-back substitution.  Both routes give the same stored form.
+kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
+choice of independent rows come from fraction-free, content-stripped
+sparse elimination (``_eliminate``), optionally followed by one reduced
+echelon pass (``_back_substitute``); so do solves ``a^-1 b`` and inverses
+when `a` is sparse.  When `a` is at least a quarter full (the row rule of
+``@``, applied to the whole matrix) they take one dense forward Bareiss
+pass (``_bareiss``, Bareiss 1968) and exact back substitution.  Both
+routes give the same stored form.  Determinants always take the Bareiss
+pass: the last pivot, signed by the row swaps.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -304,7 +305,7 @@ class Operator(Record):
         return _finish(self.site_dim, self.legs, self.backend, den, rows)
 
     def __neg__(self) -> Operator:
-        return (-1) * self if self.backend == RATIONAL else (-1.0) * self
+        return (-1) * self
 
 
 def _fill(op: Operator, site_dim: int, legs: int, backend: str, den: int, entries):
@@ -601,13 +602,6 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     return reduced
 
 
-def _augmented_rows(a: Operator, b: Operator) -> list[dict[int, int]]:
-    """The integer rows of [A | B], where a = A / a.den and b = B / b.den."""
-    side = a.side
-    return [dict(arow + tuple([(side + j, v) for j, v in brow]))
-            for arow, brow in zip(a.entries, b.entries)]
-
-
 def _is_dense(x: Operator) -> bool:
     """At least a quarter full: the row rule of ``@``, over the whole matrix.
 
@@ -618,27 +612,29 @@ def _is_dense(x: Operator) -> bool:
     return sum(map(len, x.entries)) * 4 >= x.side**2
 
 
-def _bareiss(m: list[list[int]], side: int) -> bool:
+def _bareiss(m: list[list[int]], side: int) -> int:
     """Fraction-free forward elimination of the first `side` columns, in place.
 
     Below each pivot p_k, Bareiss's rule (p_k x - f y) // p_{k-1} divides
     exactly; rows are swapped when the diagonal is zero.  Entries left of
-    the diagonal are left stale, so row i is read from column i on.
-    Returns False, part-way, when a column has no pivot.
+    the diagonal are left stale, so row i is read from column i on.  The
+    last pivot is then the determinant of the swapped rows.  Returns the
+    sign of the row swaps, or 0, part-way, when a column has no pivot.
     """
-    prev = 1
+    prev = sign = 1
     for k in range(side):
         if not m[k][k]:
             i = next((i for i in range(k + 1, side) if m[i][k]), None)
             if i is None:
-                return False
+                return 0
             m[k], m[i] = m[i], m[k]
+            sign = -sign
         p, tail = m[k][k], m[k][k + 1:]
         for row in m[k + 1:]:
             f = row[k]
             row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
-    return True
+    return sign
 
 
 def _solve_dense(a: Operator, b: Operator) -> Operator:
@@ -673,29 +669,25 @@ def _solve_dense(a: Operator, b: Operator) -> Operator:
 
 
 def _solve_sparse(a: Operator, b: Operator) -> Operator:
-    """a^-1 b by `_eliminate` and `_back_substitute` of the sparse rows of [A | B]."""
+    """a^-1 b by `_eliminate` and `_back_substitute` of the sparse integer rows of [A | B]."""
     side = a.side
-    pivots = _eliminate(_augmented_rows(a, b))
+    pivots = _eliminate([dict(arow + tuple([(side + j, v) for j, v in brow]))
+                         for arow, brow in zip(a.entries, b.entries)])
     rank = sum(1 for c in pivots if c < side)
     if rank < side:
         raise SingularOperatorError(side, rank)
     # reduced row i is [p_i e_i | C_i] with C_i / p_i row i of A^-1 B, and
-    # a^-1 b = (da / db) A^-1 B: row i is da C_i / (db p_i), over q_i
-    da, db = a.den, b.den
+    # a^-1 b = (a.den / b.den) A^-1 B: over b.den lcm(p), row i is
+    # a.den (lcm(p) / p_i) C_i, and `_finish` strips the common factor
     reduced = _back_substitute(pivots)
-    scales = []
-    for i in range(side):
-        q = db * reduced[i][i]
-        g = math.gcd(q, da)
-        scales.append((da // g, q // g))
-    common = math.lcm(*(q for _, q in scales))
+    lcm = math.lcm(*(reduced[i][i] for i in range(side)))
     rows = []
-    for i, (s, q) in enumerate(scales):
-        f = s * (common // q)
+    for i in range(side):
+        f = a.den * (lcm // reduced[i][i])
         rows.append(tuple(sorted(
             (j - side, v * f) for j, v in reduced[i].items() if j >= side
         )))
-    return _finish(a.site_dim, a.legs, RATIONAL, common, rows)
+    return _finish(a.site_dim, a.legs, RATIONAL, b.den * lcm, rows)
 
 
 def _invert_complex(x: Operator) -> Operator:
@@ -752,7 +744,11 @@ def invert(x: Operator) -> Operator:
 
 
 def determinant(x: Operator):
-    """Exact determinant (rational) or partial-pivot LU determinant (complex)."""
+    """Exact determinant (rational) or partial-pivot LU determinant (complex).
+
+    On the rational backend the integer rows X = x.den * x take one dense
+    forward Bareiss pass (``_bareiss``): det x = sign * last pivot / den^side.
+    """
     side = x.side
     if x.backend == COMPLEX64:
         m = [list(row) for row in x.rows]
@@ -771,17 +767,8 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    pivots = _eliminate(_augmented_rows(x, identity(x.site_dim, x.legs)))
-    if any(c not in pivots for c in range(side)):
-        return Fraction(0)
-    # The pivot rows are [U | L] with U = L X upper triangular.  The row for
-    # pivot c descends from input row origin[c], the last column its
-    # identity part touches, so L is a row permutation of a lower-triangular
-    # matrix and det x = sign * prod(diag U) / prod(diag L) / den^side.
-    origin = [max(pivots[c]) - side for c in range(side)]
-    num, den = 1, x.den**side
-    for c, i in enumerate(origin):
-        num *= pivots[c][c]
-        den *= pivots[c][side + i]
-    inversions = sum(a > b for k, a in enumerate(origin) for b in origin[k + 1:])
-    return Fraction(-num if inversions % 2 else num, den)
+    m = [[0] * side for _ in range(side)]
+    for row, xrow in zip(m, x.entries):
+        for j, v in xrow:
+            row[j] = v
+    return Fraction(_bareiss(m, side) * m[-1][-1], x.den**side)

@@ -196,6 +196,16 @@ def test_te1_refuses_negative_indices_before_building(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("twist", "catalog:identity", "catalog:perm"),
+    ("check-pair", "catalog:identity", "--pair", "catalog:perm"),
+])
+def test_catalog_entry_without_twist_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "carries no twist" in err
+
+
 def test_te1_at_the_cap_still_runs(capsys):
     code, report, _ = run_json(
         capsys, "te1", "catalog:jordanian", "-m", 1, "-n", 1, "-k", 1, "--max-legs", 3

@@ -23,6 +23,7 @@ from ybt import (
     SubspaceBasis,
     apply_twist,
     braid_intertwine_residual,
+    catalog,
     braid_matrix,
     identity,
     intertwiner_space,
@@ -167,6 +168,41 @@ def test_solver_basis_builds_its_operators_only_when_read(six_vertex_entry):
         assert fresh.basis is fresh.basis  # built once, then cached
     ops = space.basis
     assert space == eager and space.basis is ops
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), "identity(3,2)"])
+def test_solver_echelon_matches_the_reduction_of_its_operators(name):
+    # a solver basis takes its vectors as its echelon rows, unchecked; its
+    # twin built from operators is reduced by the kernel on [V | I]
+    r = identity(3, 2) if name == "identity(3,2)" else catalog.get(name).r
+    space = r_symmetric_space(r, 3)
+    side = space.site_dim**space.legs
+
+    def operator(flat):
+        return Operator.from_rows(space.site_dim, space.legs,
+                                  [[flat.get(i * side + j, 0) for j in range(side)]
+                                   for i in range(side)])
+
+    eager = SubspaceBasis(space.site_dim, space.legs, space.backend,
+                          tuple(map(operator, space.vectors)))
+    assert set(space.echelon[1]) == set(eager.echelon[1])
+    assert space.is_independent() == eager.is_independent()
+    weighted: dict[int, int] = {}
+    for i, vec in enumerate(space.vectors):
+        for k, v in vec.items():
+            weighted[k] = weighted.get(k, 0) + (i + 1) * v
+    member = operator(weighted)
+    expected = tuple(Fraction(i + 1) for i in range(space.dimension))
+    assert membership_coefficients(space, member) == expected
+    assert membership_coefficients(eager, member) == expected
+    units = (operator({k: 1}) for k in range(side * side))
+    outsider = next((e for e in units if r_symmetric_residual(r, e)), None)
+    if outsider is None:  # the whole operator space
+        assert space.dimension == side * side
+    else:
+        assert membership_coefficients(space, outsider) is None
+        assert membership_coefficients(eager, outsider) is None
+    assert "basis" not in vars(space)
 
 
 def test_membership_rejects_outsiders(six_vertex_entry):
