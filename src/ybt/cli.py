@@ -403,7 +403,7 @@ def dispatch(argv=None) -> int:
         report = _envelope(args, *args.func(args))
         elapsed = time.perf_counter() - started
         text = canonical_dumps(report)
-    except (FileNotFoundError, YbtError) as exc:
+    except (OSError, YbtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -220,8 +220,11 @@ def pretty_dumps(obj) -> str:
 
 
 def load_json(path) -> object:
-    """Read a JSON file, reporting parse failures with line/column."""
-    text = Path(path).read_text()
+    """Read a UTF-8 JSON file, reporting bad bytes by offset and parse failures by line/column."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason}", f"{path}:byte {exc.start}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

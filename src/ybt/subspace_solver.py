@@ -44,6 +44,7 @@ from .tensor_core import (
     _back_substitute,
     _eliminate,
     _from_flat,
+    _placement,
     _primitive,
     _rank,
     _to_flat,
@@ -66,13 +67,16 @@ class SubspaceBasis(Record):
     once, the first time ``basis`` is read (by ``repr``, ``==``, ``hash``
     or a loop over the elements).  Every query in this module reads the
     vectors, so a solve that is only measured, tested or written out
-    builds no operator.
+    builds no operator.  ``_reduced`` (not a field) is true for a solver
+    basis, whose vectors already are a reduced echelon form.
     """
 
     site_dim: int
     legs: int
     backend: str
     basis: tuple[Operator, ...]
+
+    _reduced = False
 
     def __post_init__(self):
         for op in self.basis:
@@ -104,7 +108,7 @@ class SubspaceBasis(Record):
 
     def _integer_vectors(self) -> tuple[int, list[dict[int, int]]]:
         """``(den, ints)``: each element times ``den``, the elements' common denominator."""
-        if "basis" not in vars(self):  # a solver basis: integer vectors, den 1
+        if self._reduced:  # a solver basis: integer vectors, den 1
             return 1, list(self.vectors)
         den = math.lcm(*(op.den for op in self.basis))
         return den, [
@@ -129,7 +133,7 @@ class SubspaceBasis(Record):
         integer kernel on the rows of ``[V | I]``, with the columns in
         descending order so that each pivot is a last nonzero.
         """
-        if "basis" not in vars(self):  # a solver basis
+        if self._reduced:
             return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
         d = self.dimension
         if d:
@@ -351,7 +355,8 @@ def _verify_kernel(groups, basis: list[dict[int, int]]):
 def _solved_basis(site_dim: int, legs: int, vectors: list[dict[int, int]]) -> SubspaceBasis:
     # the kernel vectors are the exact entries; ``basis`` is built on first read
     basis = object.__new__(SubspaceBasis)
-    vars(basis).update(site_dim=site_dim, legs=legs, backend=RATIONAL, vectors=tuple(vectors))
+    vars(basis).update(site_dim=site_dim, legs=legs, backend=RATIONAL,
+                       vectors=tuple(vectors), _reduced=True)
     return basis
 
 
@@ -461,21 +466,22 @@ def _check_dependencies(kept, dropped):
 def _shifted_groups(local: list[tuple[tuple[int, int], ...]], site_dim: int, n: int):
     """One group (see `_kernel_basis`) per position i = 1..n-1 and local row.
 
-    With s = d^(n-i-1), local unknown Z[g, e] sits at g * s * side + e * s,
-    and each environment, the digits of row and column outside legs i and
-    i + 1, adds the offset (a_hi * d^2 * s + a_lo) * side + (b_hi * d^2 * s
-    + b_lo).  A position's offsets are listed once, shared by its groups.
+    ``_placement`` on legs i and i + 1 gives ``pos``, where each two-leg
+    index lands, and ``outside``, the offsets of the other legs.  Local
+    unknown Z[g, e], key g * d^2 + e, sits at pos[g] * side + pos[e], and
+    each environment, a setting of the other legs in row and column, adds
+    the offset a * side + b for a and b in ``outside``.  A position's
+    offsets are listed once, shared by its groups.
     """
     d = site_dim
     q = d * d
     side = d**n
     groups = []
     for i in range(1, n):
-        s = d ** (n - i - 1)
-        outside = [a_hi * q * s + a_lo for a_hi in range(d ** (i - 1)) for a_lo in range(s)]
+        pos, outside = _placement(d, (i, i + 1), n)
         offsets = [a * side + b for a in outside for b in outside]
         for terms in local:
-            shifted = tuple(((k // q) * s * side + (k % q) * s, v) for k, v in terms)
+            shifted = tuple((pos[k // q] * side + pos[k % q], v) for k, v in terms)
             groups.append((shifted, offsets))
     return groups
 
@@ -588,8 +594,6 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     ):
         raise ShapeMismatchError("operator does not live in the basis space")
     _require_exact(op, "membership_coefficients")
-    if not basis.dimension:
-        return None
     den, echelon = basis.echelon
     target = _to_flat(op)
     used = [(c, target[c], *echelon[c]) for c in target if c in echelon]

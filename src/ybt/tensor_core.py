@@ -30,7 +30,10 @@ pass: the last pivot, signed by the row swaps.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
-P_sigma X P_sigma^-1 with P_sigma the leg-permutation matrix.
+P_sigma X P_sigma^-1 with P_sigma the leg-permutation matrix.  One
+helper, ``_placement``, turns legs into row-major indices: ``embed``
+reads it, ``leg_permute`` is ``embed`` onto all legs, and the solver's
+shifted rows read the same maps.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product as _iproduct
 from operator import attrgetter
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
@@ -419,55 +421,43 @@ def kron(a: Operator, b: Operator) -> Operator:
     return _finish(a.site_dim, a.legs + b.legs, a.backend, a.den * b.den, rows)
 
 
-def _digits(idx: int, base: int, n: int) -> list[int]:
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        out[k] = idx % base
-        idx //= base
-    return out
+def _placement(site_dim: int, slots, total_legs: int) -> tuple[list[int], list[int]]:
+    """The row-major index maps behind every leg placement, built in one place.
 
-
-def _index(digits, base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
-
-
-def _validate_sigma(sigma, n: int) -> tuple[int, ...]:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ShapeMismatchError(f"{sigma} is not a permutation of 1..{n}")
-    return sigma
+    Leg s has place value ``site_dim**(total_legs - s)``.  ``pos[a]`` is
+    where index a of the slotted legs lands (factor t on ``slots[t]``) with
+    every other leg at 0, and ``rest`` lists the offsets of every setting
+    of the other legs, first leg slowest.  Both grow one leg at a time.
+    """
+    maps = []
+    for legs in (slots, [s for s in range(1, total_legs + 1) if s not in slots]):
+        offsets = [0]
+        for s in legs:
+            step = site_dim ** (total_legs - s)
+            offsets = [o + k for o in offsets for k in range(0, site_dim * step, step)]
+        maps.append(offsets)
+    return maps[0], maps[1]
 
 
 def leg_permute(x: Operator, sigma) -> Operator:
     """Move tensor factor k of `x` to leg sigma[k] (1-based images).
 
     On a simple tensor a1 ⊗ ... ⊗ an the result carries a_k on leg
-    sigma(k); as a matrix it is P_sigma x P_sigma^-1.
+    sigma(k); as a matrix it is P_sigma x P_sigma^-1.  This is ``embed``
+    onto all of x's legs, so a `sigma` that is not a permutation of
+    1..legs raises embed's :class:`ShapeMismatchError`.
     """
-    sigma = _validate_sigma(sigma, x.legs)
-    n, N, side = x.legs, x.site_dim, x.side
-    table = [0] * side
-    for a in range(side):
-        ds = _digits(a, N, n)
-        nd = [0] * n
-        for k in range(n):
-            nd[sigma[k] - 1] = ds[k]
-        table[a] = _index(nd, N)
-    rows: list[Row] = [()] * side
-    for a, row in enumerate(x.entries):
-        rows[table[a]] = tuple(sorted([(table[b], v) for b, v in row]))
-    return _make(N, n, x.backend, x.den, tuple(rows))
+    return embed(x, sigma, x.legs)
 
 
 def embed(x: Operator, slots, total_legs: int) -> Operator:
     """Let `x` act on the named legs (factor t on slots[t]), identity elsewhere.
 
-    Equals leg_permute(kron(x, identity), sigma) for the sigma sending the
-    leading legs to `slots` and filling the rest monotonically.  Costs one
-    copy per stored entry of the result.
+    Equals P_sigma (x ⊗ 1) P_sigma^-1 for the sigma sending the leading
+    legs to `slots` and filling the rest monotonically; with `slots` a
+    permutation of all legs it is ``leg_permute``.  Costs one copy per
+    stored entry of the result; the first copy of each row of `x` is the
+    sorted row itself.
     """
     slots = list(slots)
     if len(set(slots)) != len(slots):
@@ -477,20 +467,14 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
     if any(s < 1 or s > total_legs for s in slots):
         raise ShapeMismatchError(f"slot out of range 1..{total_legs} in {slots}")
     N = x.site_dim
-    rest = [s for s in range(1, total_legs + 1) if s not in slots]
-    stride = {s: N ** (total_legs - s) for s in range(1, total_legs + 1)}
-    rest_offsets = [
-        sum(d * stride[s] for d, s in zip(combo, rest))
-        for combo in _iproduct(range(N), repeat=len(rest))
-    ]
-    # where index a of the slotted legs lands, the other legs at 0
-    pos = [sum(d * stride[s] for d, s in zip(_digits(a, N, x.legs), slots))
-           for a in range(x.side)]
+    pos, rest = _placement(N, slots, total_legs)
+    others = rest[1:]  # rest[0] is the offset 0
     rows: list[Row] = [()] * N**total_legs
     for a, row in enumerate(x.entries):
-        moved = sorted([(pos[b], v) for b, v in row])
+        moved = tuple(sorted([(pos[b], v) for b, v in row]))
         base = pos[a]
-        for off in rest_offsets:
+        rows[base] = moved
+        for off in others:
             rows[base + off] = tuple([(c + off, v) for c, v in moved])
     return _make(N, total_legs, x.backend, x.den, tuple(rows))
 

@@ -274,6 +274,23 @@ def test_semantic_file_error_exits_two(capsys, tmp_path):
     assert "rows" in err
 
 
+@pytest.mark.parametrize("case", ["read directory", "read binary", "write directory"])
+def test_unreadable_paths_exit_two(capsys, tmp_path, case):
+    # exit 1 means "a check failed"; a path that cannot be read is an input error
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "read directory": ["verify-ybe", tmp_path],
+        "read binary": ["verify-ybe", binary],
+        "write directory": ["fuse", "catalog:six_vertex", "-m", 1, "-n", 1, "-o", tmp_path],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if case == "read binary":
+        assert "binary.json:byte 0" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "verify-ybe")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2

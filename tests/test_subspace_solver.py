@@ -205,6 +205,23 @@ def test_solver_echelon_matches_the_reduction_of_its_operators(name):
     assert "basis" not in vars(space)
 
 
+def test_solver_echelon_rows_are_its_vectors_after_the_operators_are_built(six_vertex_entry):
+    space = r_symmetric_space(six_vertex_entry.r, 3)
+    assert space.basis  # builds the operators first
+    den, rows = space.echelon
+    assert den == 1 and len(rows) == space.dimension
+    assert all(rows[max(v)][0] is v for v in space.vectors)
+
+
+def test_zero_is_a_member_of_an_empty_basis(six_vertex_entry):
+    # zero lies in every span, the empty one included
+    empty = intertwiner_space(identity(2, 2), six_vertex_entry.r, 2)
+    for basis in (SubspaceBasis(2, 2, RATIONAL, ()), empty):
+        assert basis.dimension == 0
+        assert membership_coefficients(basis, 0 * identity(2, 2)) == ()
+        assert membership_coefficients(basis, identity(2, 2)) is None
+
+
 def test_membership_rejects_outsiders(six_vertex_entry):
     rng = random.Random(501)
     space = r_symmetric_space(six_vertex_entry.r, 2)

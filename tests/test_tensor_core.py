@@ -29,6 +29,7 @@ from ybt import (
     swap,
 )
 from ybt.errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
+from ybt.tensor_core import _placement
 
 from conftest import diag_operator, rand_invertible, rand_operator
 
@@ -214,6 +215,44 @@ def test_embed_rejects_bad_slots():
         embed(f, [1, 4], 3)
     with pytest.raises(ShapeMismatchError):
         embed(f, [1], 3)
+
+
+@st.composite
+def placements(draw):
+    """(site_dim, slots, total_legs) with slots an ordered subset of the legs."""
+    site_dim = draw(st.integers(1, 3))
+    total = draw(st.integers(0, 5))
+    legs = draw(st.permutations(range(1, total + 1)))
+    return site_dim, tuple(legs[:draw(st.integers(0, total))]), total
+
+
+@settings(max_examples=150, deadline=None)
+@given(placements())
+def test_placement_matches_digit_by_digit_reference(case):
+    site_dim, slots, total = case
+    rest_legs = [s for s in range(1, total + 1) if s not in slots]
+
+    def digits(idx, legs):
+        out = []
+        for _ in range(legs):
+            idx, d = divmod(idx, site_dim)
+            out.append(d)
+        return out[::-1]
+
+    def place(values, legs):
+        # row-major index of the multi-index with values[t] on leg legs[t], 0 elsewhere
+        full = [0] * total
+        for v, s in zip(values, legs):
+            full[s - 1] = v
+        idx = 0
+        for d in full:
+            idx = idx * site_dim + d
+        return idx
+
+    pos, rest = _placement(site_dim, slots, total)
+    assert pos == [place(digits(a, len(slots)), slots) for a in range(site_dim ** len(slots))]
+    assert rest == [place(digits(b, len(rest_legs)), rest_legs)
+                    for b in range(site_dim ** len(rest_legs))]
 
 
 # ---------------------------------------------------------------------------
