@@ -203,6 +203,8 @@ def _cmd_rsym(args):
 def _cmd_intertwine(args):
     from .subspace_solver import intertwiner_space, invertible_certificate
 
+    if args.budget < 1:  # a usage error, refused before anything is solved
+        raise YbtError(f"--budget must be >= 1, got {args.budget}")
     r = resolve_r(args.r)
     s = resolve_r(args.s)
     basis = intertwiner_space(r, s, args.n, size_cap=r.site_dim**args.max_legs)

@@ -24,8 +24,11 @@ on the vectors.  Membership reads each coefficient off a cached reduced
 echelon form of the basis (a solver basis already is one) and then checks
 the combination exactly.  Deciding whether a computed subspace holds an
 invertible element is done by a seeded randomized search with an explicit
-budget; each attempt is accepted when its integer rows reach full rank,
-and a miss is evidence, never a proof of non-existence.
+budget.  Each attempt is decided modulo a prime with an exact witness
+either way: full rank mod p proves a nonzero determinant, and a kernel
+vector mod p that the exact rows annihilate proves a zero one; only when
+neither holds does the exact integer rank decide.  The answers are those
+of an exact rank.  A miss is evidence, never a proof of non-existence.
 """
 
 from __future__ import annotations
@@ -613,6 +616,57 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     return tuple(Fraction(c * den, scale * op.den) for c in coeffs)
 
 
+#: The prime of `_invertible`.  It lies below 2**30, so a product of two
+#: residues stays under 2**60: two 30-bit digits of a CPython int.
+_PRIME = 1_000_000_007
+
+
+def _invertible(x: Operator) -> bool:
+    """Whether a rational operator is invertible: decided mod `_PRIME`, proved exactly.
+
+    Forward elimination of the integer rows modulo p reduces each row on
+    its tail only (the columns from the pivot on).  Rows independent mod p
+    are independent over Q, so a pivot in every column proves det != 0.
+    At the first column c without a pivot, the echelon rows give a kernel
+    vector mod p that is 1 at c and 0 past it; lifted to symmetric
+    residues, it proves x singular when the exact integer rows annihilate
+    it.  Only when that lift fails does the exact `_rank` decide, so the
+    answer is always the exact one.
+    """
+    p, side = _PRIME, x.side
+    rest = []
+    for nonzero in x.entries:
+        row = [0] * side
+        for j, v in nonzero:
+            row[j] = v % p
+        rest.append(row)
+    tails = []  # tails[c]: the pivot row of column c from c on, pivot 1
+    for c in range(side):
+        k = next((i for i, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            break
+        row = rest.pop(k)
+        inv = pow(row[c], -1, p)
+        tail = [v * inv % p for v in row[c:]]
+        tails.append(tail)
+        for row in rest:
+            f = row[c]
+            if f:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+    else:
+        return True
+    # every column before c has a pivot, and no remaining row is nonzero
+    # at c or before: back substitution from v[c] = 1 solves all rows mod p
+    v = [0] * c + [1]
+    for i in range(c - 1, -1, -1):
+        v[i] = -sum(a * b for a, b in zip(tails[i][1:], v[i + 1 :])) % p
+    half = p // 2
+    v = [a - p if a > half else a for a in v]
+    if all(sum(val * v[j] for j, val in nonzero if j <= c) == 0 for nonzero in x.entries):
+        return False
+    return _rank(x) == side
+
+
 def invertible_certificate(
     basis: SubspaceBasis, budget: int = 50, seed: int = 0
 ):
@@ -620,17 +674,19 @@ def invertible_certificate(
 
     The first attempt is the all-ones combination, later ones draw integer
     coefficients from [-9, 9], widening the range every ten attempts.  An
-    attempt is accepted when the fraction-free elimination of its integer
-    rows (sparsest first) finds a pivot in every column: full rank, which
-    is exactly a nonzero determinant, without computing the determinant's
-    value.  A returned certificate is exact; a miss is explicitly not a
-    proof that no invertible element exists.
+    attempt's integer rows are eliminated modulo a prime below 2**30
+    (`_invertible`): full rank there proves a nonzero determinant, and a
+    kernel vector there, lifted to integers and checked against the exact
+    rows, proves a zero one.  Only when that lift fails does the exact
+    fraction-free rank decide, so each attempt, and with it every answer,
+    is exactly what a rank over Q gives.  A returned certificate is exact;
+    a miss is explicitly not a proof that no invertible element exists.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     d = basis.dimension
     if not d:
         return None
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     _require_exact(basis, "invertible_certificate")
     rng = random.Random(seed)
     # sum c_i B_i in ints, over the common denominator of the elements
@@ -649,6 +705,6 @@ def invertible_certificate(
                 for k, v in nonzero.items():
                     acc[k] = acc.get(k, 0) + c * v
         combo = _from_flat(basis.site_dim, basis.legs, den, acc)
-        if _rank(combo) == combo.side:
+        if _invertible(combo):
             return tuple(Fraction(c) for c in coeffs), combo
     return None

@@ -291,6 +291,15 @@ def test_unreadable_paths_exit_two(capsys, tmp_path, case):
         assert "binary.json:byte 0" in err
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_intertwine_refuses_a_budget_below_one_before_solving(capsys, monkeypatch, budget):
+    monkeypatch.setattr(subspace_solver, "intertwiner_space", lambda *a, **k: 1 / 0)
+    code, out, err = run(capsys, "intertwine", "catalog:six_vertex", "catalog:six_vertex",
+                         "-n", 2, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: --budget must be >= 1, got {budget}\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "verify-ybe")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2

@@ -49,8 +49,10 @@ from ybt import (
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
 from ybt.subspace_solver import (
+    _PRIME,
     _check_dependencies,
     _independent_rows,
+    _invertible,
     _kernel_basis,
     _local_rows,
     _shifted_groups,
@@ -1280,4 +1282,72 @@ def test_non_member_is_rejected_under_optimized_python():
         "raise SystemExit(0)\n"
     )
     done = run_optimized(code)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# certificate attempts: decided modulo a prime, with an exact witness
+# ---------------------------------------------------------------------------
+
+# small entries plus multiples of the prime, which vanish mod p
+MOD_ENTRY = st.one_of(
+    st.integers(-9, 9), st.sampled_from([_PRIME, -_PRIME, 2 * _PRIME, _PRIME + 1])
+)
+
+
+@st.composite
+def integer_squares(draw, max_side=7):
+    """Square integer rows, often forced singular by a repeated, zero or combined row."""
+    side = draw(st.integers(1, max_side))
+    rows = [draw(st.lists(MOD_ENTRY, min_size=side, max_size=side)) for _ in range(side)]
+    shape = draw(st.sampled_from(["as drawn", "repeated row", "zero row", "combined row"]))
+    if shape == "repeated row" and side > 1:
+        rows[-1] = list(rows[draw(st.integers(0, side - 2))])
+    elif shape == "zero row":
+        rows[draw(st.integers(0, side - 1))] = [0] * side
+    elif shape == "combined row" and side > 2:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_squares(), DENOMINATOR)
+def test_modular_invertibility_decides_as_the_exact_rank(rows, den):
+    x = Fraction(1, den) * as_operator(rows)
+    assert _invertible(x) == (_rank(x) == x.side)
+
+
+@pytest.mark.parametrize("rows, invertible", [
+    ([[1, 2], [3, 4]], True),  # full rank mod p
+    ([[1, 1], [2, 2]], False),  # the kernel vector (-1, 1) lifts
+])
+def test_modular_decisions_need_no_exact_rank(monkeypatch, rows, invertible):
+    calls = []
+    monkeypatch.setattr("ybt.subspace_solver._rank", lambda x: calls.append(x) or _rank(x))
+    assert _invertible(as_operator(rows)) is invertible
+    assert calls == []
+
+
+# Both cases take the exact fallback: det(diag(p, 1)) = p vanishes mod p
+# only, and the kernel vector (1/2, 1) of rows (2, -1), (4, -2) reads
+# ((p + 1) / 2, 1) mod p, whose symmetric lift the exact rows do not annihilate.
+FALLBACK = (
+    "from ybt import Operator\n"
+    "import ybt.subspace_solver as s\n"
+    "exact = []\n"
+    "rank = s._rank\n"
+    "s._rank = lambda x: exact.append(x) or rank(x)\n"
+    "x = Operator.from_rows(2, 1, {rows!r})\n"
+    "raise SystemExit(0 if s._invertible(x) is {invertible} and len(exact) == 1 else 1)\n"
+)
+
+
+def test_determinant_p_is_accepted_by_the_exact_fallback_under_optimized_python():
+    done = run_optimized(FALLBACK.format(rows=[[_PRIME, 0], [0, 1]], invertible=True))
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_unlifted_kernel_is_refused_by_the_exact_fallback_under_optimized_python():
+    done = run_optimized(FALLBACK.format(rows=[[2, -1], [4, -2]], invertible=False))
     assert done.returncode == 0, done.stderr.decode()

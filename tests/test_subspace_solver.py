@@ -308,6 +308,13 @@ def test_certificate_edge_cases():
         invertible_certificate(basis, budget=0, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_every_basis_rejects_a_budget_below_one(budget):
+    for elements in ((), (identity(2, 2),)):
+        with pytest.raises(ValueError):
+            invertible_certificate(SubspaceBasis(2, 2, RATIONAL, elements), budget=budget)
+
+
 def test_size_cap_is_enforced(six_vertex_entry):
     with pytest.raises(SizeCapError):
         r_symmetric_space(six_vertex_entry.r, 7)
