@@ -184,6 +184,7 @@ def _cmd_check_split(args):
 
 
 def _cmd_fuse(args):
+    _check_leg_cap("fuse", args.m + args.n, args.max_legs)
     from .fusion import fuse_r
 
     fused = fuse_r(resolve_r(args.r), args.m, args.n, max_legs=args.max_legs)

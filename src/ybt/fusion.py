@@ -43,6 +43,11 @@ def fuse_r(r: Operator, m: int, n: int, max_legs: int = DEFAULT_MAX_LEGS) -> Ope
 
 
 def _lookup(components: dict, m: int, n: int) -> Operator:
+    """Component (m, n) of the map; a zero index missing from it gives the identity.
+
+    On the rational backend that identity is a marked unit, which products
+    and ``kron`` pass through without arithmetic.
+    """
     if (m, n) in components:
         return components[(m, n)]
     if m == 0 or n == 0:

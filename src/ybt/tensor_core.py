@@ -17,6 +17,11 @@ run through the same sparse kernels, and they never mix silently.
 ``Operator.rows`` is the dense view (``Fraction`` or ``complex`` entries),
 built on first access and cached.
 
+A rational identity is marked where it is made, by ``identity`` or by the
+constructor, and products, ``kron`` factors, embeddings and solves with a
+rational identity are exact no-ops: each kernel returns the other operand,
+or the identity on the target legs, after its usual checks.
+
 Exact linear algebra on the rational backend rests on two integer
 kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
 choice of independent rows come from fraction-free, content-stripped
@@ -186,6 +191,10 @@ class Operator(Record):
     den: int
     entries: tuple[Row, ...]
 
+    # not a field: true for a rational identity made by ``identity`` or the
+    # constructor, which the kernels pass through without arithmetic
+    _unit = False
+
     def __init__(self, site_dim: int, legs: int, backend: str, rows):
         """Build from dense rows, coercing every entry to the backend's scalar type."""
         _check_space(site_dim, legs, backend)
@@ -210,6 +219,8 @@ class Operator(Record):
             # over the lcm of reduced denominators no factor is common to all
             den = math.lcm(*(d for row in nonzero for _, _, d in row))
             entries = tuple(tuple((j, n * (den // d)) for j, n, d in row) for row in nonzero)
+            if den == 1 and all(row == ((i, 1),) for i, row in enumerate(entries)):
+                vars(self)["_unit"] = True
         else:
             den = 1
             entries = tuple(
@@ -263,6 +274,10 @@ class Operator(Record):
 
     def __matmul__(self, other: Operator) -> Operator:
         _check_same_space(self, other)
+        if self._unit:
+            return other
+        if other._unit:
+            return self
         zero = _VALUE_ZERO[self.backend]
         right = other.entries
         side = self.side
@@ -393,8 +408,10 @@ def identity(site_dim: int, legs: int, backend: str = RATIONAL) -> Operator:
     """Identity on ``legs`` factors; ``legs = 0`` gives the scalar unit."""
     _check_space(site_dim, legs, backend)
     one = _VALUE_ONE[backend]
-    return _make(site_dim, legs, backend, 1,
-                 tuple(((i, one),) for i in range(site_dim**legs)))
+    op = _make(site_dim, legs, backend, 1, tuple(((i, one),) for i in range(site_dim**legs)))
+    if backend == RATIONAL:  # complex products keep their signed-zero normalisation
+        vars(op)["_unit"] = True
+    return op
 
 
 def swap(site_dim: int, backend: str = RATIONAL) -> Operator:
@@ -412,6 +429,12 @@ def kron(a: Operator, b: Operator) -> Operator:
         raise BackendMismatchError(f"backend mismatch: {a.backend} vs {b.backend}")
     if a.site_dim != b.site_dim:
         raise ShapeMismatchError(f"site_dim mismatch: {a.site_dim} vs {b.site_dim}")
+    if a._unit and not a.legs:
+        return b
+    if b._unit and not b.legs:
+        return a
+    if a._unit and b._unit:
+        return identity(a.site_dim, a.legs + b.legs)
     db = b.side
     rows = [
         tuple([(j * db + l, v * w) for j, v in arow for l, w in brow])
@@ -466,6 +489,8 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
         raise ShapeMismatchError(f"{len(slots)} slots given for a {x.legs}-leg operator")
     if any(s < 1 or s > total_legs for s in slots):
         raise ShapeMismatchError(f"slot out of range 1..{total_legs} in {slots}")
+    if x._unit:
+        return identity(x.site_dim, total_legs)
     N = x.site_dim
     pos, rest = _placement(N, slots, total_legs)
     others = rest[1:]  # rest[0] is the offset 0
@@ -710,6 +735,8 @@ def solve(a: Operator, b: Operator) -> Operator:
     of `a`.
     """
     _check_same_space(a, b)
+    if a._unit:
+        return b
     if a.backend == RATIONAL:
         return (_solve_dense if _is_dense(a) else _solve_sparse)(a, b)
     return _invert_complex(a) @ b

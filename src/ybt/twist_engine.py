@@ -131,8 +131,12 @@ def apply_twist(r: Operator, f: Operator) -> Operator:
     """F21^-1 R F, with F21 the leg swap of F."""
     if r.legs != 2 or f.legs != 2:
         raise ShapeMismatchError("apply_twist needs two-leg operators")
-    # (F21^-1 R) F, with F21^-1 R from one exact solve
-    return solve(leg_permute(f, (2, 1)), r) @ f
+    f21 = leg_permute(f, (2, 1))
+    if r.backend == RATIONAL:
+        # F21^-1 (R F): the product of input-size integers comes before the
+        # solve, not after it on determinant-sized ones
+        return solve(f21, r @ f)
+    return solve(f21, r) @ f  # (F21^-1 R) F, the complex rounding order
 
 
 def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckReport:

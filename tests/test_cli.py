@@ -182,6 +182,20 @@ def test_te1_refuses_legs_over_the_cap(capsys):
     assert "te1 on 4 legs is above the cap 3" in err
 
 
+def test_fuse_refuses_legs_over_the_cap(capsys, monkeypatch):
+    resolved = []
+    monkeypatch.setattr(cli, "_resolve_entry", lambda ref: resolved.append(ref))
+    # 7 legs against the default cap of 6, refused before the entry is built
+    code, out, err = run(capsys, "fuse", "catalog:six_vertex", "-m", 4, "-n", 3)
+    assert code == 2 and out == ""
+    assert "fuse on 7 legs is above the cap 6" in err
+    assert resolved == []
+    # refused before R is resolved: the file is never opened
+    code, out, err = run(capsys, "fuse", "missing.json", "-m", 2, "-n", 2, "--max-legs", 3)
+    assert code == 2 and out == ""
+    assert "fuse on 4 legs is above the cap 3" in err
+
+
 def test_te1_refuses_negative_indices_before_building(capsys, monkeypatch):
     built = []
     for name in ("omega_split_A", "omega_split_B"):

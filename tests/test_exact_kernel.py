@@ -359,6 +359,35 @@ def test_complex_apply_twist_keeps_its_association(ops):
     assert got == expected and complex_bits(got) == complex_bits(expected)
 
 
+def twisted_by_inverse(r, f):
+    return (invert(leg_permute(f, (2, 1))) @ r) @ f
+
+
+@st.composite
+def rational_twist_inputs(draw):
+    """R and F on two legs of site_dim 2 or 3: sides 4 and 9."""
+    site_dim = draw(st.sampled_from([2, 3]))
+    return [Operator(site_dim, 2, "rational", dense_rows(draw, "rational", site_dim**2))
+            for _ in range(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_twist_inputs())
+def test_rational_apply_twist_is_the_inverse_twist(ops):
+    # apply_twist solves F21 X = R F; the reference inverts F21 and multiplies after
+    r, f = ops
+    try:
+        expected = twisted_by_inverse(r, f)
+    except SingularOperatorError:
+        return
+    assert apply_twist(r, f) == expected
+
+
+def test_catalog_twists_are_the_inverse_twist(twisted_entries):
+    for entry, twisted in twisted_entries:
+        assert twisted == twisted_by_inverse(entry.r, entry.twist.f)
+
+
 # ---------------------------------------------------------------------------
 # null spaces
 # ---------------------------------------------------------------------------

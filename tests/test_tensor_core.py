@@ -26,10 +26,11 @@ from ybt import (
     kron,
     leg_permute,
     residual,
+    solve,
     swap,
 )
 from ybt.errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
-from ybt.tensor_core import _placement
+from ybt.tensor_core import _make, _placement
 
 from conftest import diag_operator, rand_invertible, rand_operator
 
@@ -372,3 +373,113 @@ def test_zero_leg_scalar_unit():
     e0 = identity(2, 0)
     assert e0.side == 1
     assert e0.rows == ((Fraction(1),),)
+
+
+# ---------------------------------------------------------------------------
+# rational identities: marked where made, passed through by every kernel
+# ---------------------------------------------------------------------------
+
+# (site_dim, legs) with side at most 27
+UNIT_SPACES = st.sampled_from(
+    [(1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 3),
+     (4, 1), (4, 2), (5, 2)]
+)
+UNIT_ENTRY = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+)
+
+
+def unmarked(op):
+    """The same stored entries, wrapped without the unit mark."""
+    return _make(op.site_dim, op.legs, op.backend, op.den, op.entries)
+
+
+@st.composite
+def unit_and_operator(draw):
+    site_dim, legs = draw(UNIT_SPACES)
+    side = site_dim**legs
+    rows = [[draw(UNIT_ENTRY) for _ in range(side)] for _ in range(side)]
+    return identity(site_dim, legs), Operator(site_dim, legs, RATIONAL, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_and_operator())
+def test_products_and_solves_with_a_unit_are_the_other_operand(ops):
+    unit, x = ops
+    twin = unmarked(unit)
+    assert unit._unit and not twin._unit
+    assert unit @ x is x
+    assert x @ unit is (unit if x._unit else x)  # a drawn x can be a unit too
+    assert unit @ x == twin @ x and x @ unit == x @ twin
+    assert solve(unit, x) is x and solve(unit, x) == solve(twin, x)
+    assert invert(unit) == unit == invert(twin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(UNIT_SPACES, st.integers(0, 2), st.data())
+def test_kron_and_placements_of_a_unit_are_the_target_identity(space, more, data):
+    site_dim, legs = space
+    unit, twin = identity(site_dim, legs), unmarked(identity(site_dim, legs))
+    other = identity(site_dim, more)
+    assert kron(unit, other) == identity(site_dim, legs + more) == kron(twin, unmarked(other))
+    assert kron(other, unit) == identity(site_dim, legs + more) == kron(unmarked(other), twin)
+    scalar = identity(site_dim, 0)
+    x = Operator(site_dim, legs, RATIONAL, [[data.draw(UNIT_ENTRY) for _ in range(unit.side)]
+                                             for _ in range(unit.side)])
+    assert kron(scalar, x) is x
+    assert kron(x, scalar) is x or x._unit  # a 0-leg unit x gives `scalar` back
+    assert kron(scalar, x) == kron(unmarked(scalar), x) == kron(x, unmarked(scalar))
+    total = legs + more
+    slots = data.draw(st.permutations(range(1, total + 1)))[:legs]
+    assert embed(unit, slots, total) == identity(site_dim, total) == embed(twin, slots, total)
+    sigma = data.draw(st.permutations(range(1, legs + 1)))
+    assert leg_permute(unit, sigma) == unit == leg_permute(twin, sigma)
+
+
+def test_units_are_marked_where_they_are_made(tmp_path):
+    from ybt.formats import load_operator, save_operator
+
+    assert identity(3, 2)._unit and identity(2, 0)._unit
+    assert Operator.from_rows(2, 1, [[1, 0], [0, Fraction(2, 2)]])._unit
+    path = tmp_path / "unit.json"
+    save_operator(identity(2, 2), path)
+    assert load_operator(path)._unit
+    # not units: a scaled identity, a swap, a rational product, a complex identity
+    assert not (2 * identity(2, 1))._unit
+    assert not Operator.from_rows(2, 1, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])._unit
+    assert not swap(2)._unit and not (swap(2) @ swap(2))._unit
+    assert not identity(2, 2, COMPLEX64)._unit
+
+
+def test_complex_identity_products_keep_their_normalisation():
+    # a signed zero part survives a copy but not a product, which sums from 0j
+    x = Operator.from_rows(2, 1, [[complex(1, -0.0), 0], [0, complex(-0.0, 2)]],
+                           backend=COMPLEX64)
+    unit = identity(2, 1, COMPLEX64)
+    normalised = (1, repr(tuple(tuple((j, v + 0j) for j, v in row) for row in x.entries)))
+    assert normalised != (x.den, repr(x.entries))
+    for got in (unit @ x, x @ unit, kron(identity(2, 0, COMPLEX64), x)):
+        assert got == x and (got.den, repr(got.entries)) == normalised
+
+
+def test_a_unit_still_rejects_bad_placements_and_mixed_backends():
+    unit = identity(2, 2)
+    with pytest.raises(ShapeMismatchError):
+        embed(unit, [1, 1], 3)
+    with pytest.raises(ShapeMismatchError):
+        embed(unit, [1], 3)
+    with pytest.raises(ShapeMismatchError):
+        embed(unit, [1, 4], 3)
+    with pytest.raises(ShapeMismatchError):
+        leg_permute(unit, (1, 3))
+    for kernel in (lambda a, b: a @ b, kron, solve):
+        with pytest.raises(BackendMismatchError):
+            kernel(unit, identity(2, 2, COMPLEX64))
+        with pytest.raises(BackendMismatchError):
+            kernel(identity(2, 2, COMPLEX64), unit)
+    with pytest.raises(ShapeMismatchError):
+        unit @ identity(2, 1)
+    with pytest.raises(ShapeMismatchError):
+        solve(unit, identity(3, 2))
+    with pytest.raises(ShapeMismatchError):
+        kron(identity(2, 0), identity(3, 1))
