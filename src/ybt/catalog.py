@@ -129,12 +129,16 @@ def _build(name: str, params: dict[str, Fraction]) -> CatalogEntry:
 
 
 def validate_entry(entry: CatalogEntry):
-    """Re-check every invariant of an entry; raise with the failing residual."""
-    res = ybe_residual(entry.r)
+    """Re-check every invariant of an entry; raise with the failing residual.
+
+    The base YBE residual is computed once: by ``check_pair``, whose report
+    carries it, when the entry has a twist.  It is checked first either way.
+    """
+    report = None if entry.twist is None else check_pair(entry.r, entry.twist)
+    res = ybe_residual(entry.r) if report is None else report.residuals["ybe_r"]
     if res != 0:
         raise CatalogError(f"{entry.name}: base matrix fails YBE, residual {res}")
-    if entry.twist is not None:
-        report = check_pair(entry.r, entry.twist)
+    if report is not None:
         if not report.verdict:
             raise CatalogError(
                 f"{entry.name}: twist pair fails its conditions: {report.residuals}"

@@ -9,11 +9,12 @@ numbers.  Rows are row-major over the lexicographic multi-index basis
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import FormatError
-from .tensor_core import COMPLEX64, RATIONAL, Operator, Scalar
+from .tensor_core import COMPLEX64, RATIONAL, Operator, Scalar, _make, _mark_unit
 
 
 def parse_rational(raw, where: str = "value") -> Fraction:
@@ -81,6 +82,12 @@ def operator_to_obj(op: Operator) -> dict:
 
 
 def operator_from_obj(obj, where: str = "operator") -> Operator:
+    """Read an operator object, locating the first malformed part.
+
+    A rational operator is built straight into the stored form the
+    constructor would give, identities marked as units; a complex one goes
+    through the constructor.
+    """
     if not isinstance(obj, dict):
         raise FormatError(f"expected an object, got {type(obj).__name__}", where)
     missing = {"scalar", "site_dim", "legs", "rows"} - obj.keys()
@@ -104,11 +111,26 @@ def operator_from_obj(obj, where: str = "operator") -> Operator:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != side:
             raise FormatError(f"row must hold {side} entries", f"{where}.rows[{i}]")
-        try:
-            parsed.append([known[v] for v in row])
-        except (KeyError, TypeError):  # a new string, or an entry that is not one
+        if backend == COMPLEX64:
             parsed.append(_parse_row(row, backend, known, f"{where}.rows[{i}]"))
-    return Operator(site_dim, legs, backend, parsed)
+            continue
+        try:
+            new = set(row).difference(known)
+        except TypeError:  # an entry that is not a string
+            new = True
+        if new:
+            _parse_row(row, backend, known, f"{where}.rows[{i}]")
+    if backend == COMPLEX64:
+        return Operator(site_dim, legs, backend, parsed)
+    # the stored form, read off the distinct values: over the lcm of their
+    # reduced denominators no factor is common to all
+    den = math.lcm(*(x.denominator for x in known.values()))
+    value = {v: x.numerator * (den // x.denominator) for v, x in known.items()}
+    zeros = {v for v, x in known.items() if not x}
+    entries = tuple(
+        tuple([(j, value[v]) for j, v in enumerate(row) if v not in zeros]) for row in rows
+    )
+    return _mark_unit(_make(site_dim, legs, RATIONAL, den, entries))
 
 
 def _parse_row(row: list, backend: str, known: dict[str, Fraction], where: str) -> list:

@@ -17,10 +17,16 @@ run through the same sparse kernels, and they never mix silently.
 ``Operator.rows`` is the dense view (``Fraction`` or ``complex`` entries),
 built on first access and cached.
 
-A rational identity is marked where it is made, by ``identity`` or by the
-constructor, and products, ``kron`` factors, embeddings and solves with a
-rational identity are exact no-ops: each kernel returns the other operand,
-or the identity on the target legs, after its usual checks.
+An identity made by ``identity`` stores no rows: ``entries`` builds them
+on first read, so equality, hashing, ``rows`` and the file form see the
+same tuple as for any other operator.  A rational identity is marked
+where it is made, by ``identity``, by the constructor or by the file
+reader, and the kernels pass it through unread after their usual checks.
+Products and solves with it return the other operand; ``embed`` of it is
+the identity on the target legs; ``kron`` with it is ``embed`` of the
+other factor, built from that factor's rows (or the factor itself, for a
+0-leg unit); and ``residual`` of two units, or of an operator with
+itself, is an exact zero.
 
 Exact linear algebra on the rational backend rests on two integer
 kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
@@ -191,8 +197,8 @@ class Operator(Record):
     den: int
     entries: tuple[Row, ...]
 
-    # not a field: true for a rational identity made by ``identity`` or the
-    # constructor, which the kernels pass through without arithmetic
+    # not a field: true for a rational identity made by ``identity``, the
+    # constructor or the file reader, which the kernels pass through unread
     _unit = False
 
     def __init__(self, site_dim: int, legs: int, backend: str, rows):
@@ -219,15 +225,21 @@ class Operator(Record):
             # over the lcm of reduced denominators no factor is common to all
             den = math.lcm(*(d for row in nonzero for _, _, d in row))
             entries = tuple(tuple((j, n * (den // d)) for j, n, d in row) for row in nonzero)
-            if den == 1 and all(row == ((i, 1),) for i, row in enumerate(entries)):
-                vars(self)["_unit"] = True
+            _mark_unit(_fill(self, site_dim, legs, backend, den, entries))
         else:
-            den = 1
-            entries = tuple(
+            _fill(self, site_dim, legs, backend, 1, tuple(
                 tuple((j, v) for j, v in enumerate(as_scalar(v, backend) for v in row) if v)
                 for row in rows
-            )
-        _fill(self, site_dim, legs, backend, den, entries)
+            ))
+
+    @cached_property
+    def entries(self) -> tuple[Row, ...]:
+        """The stored rows of an identity made by ``identity``, built on first read.
+
+        Every other operator is made with its entries, which shadow this.
+        """
+        one = _VALUE_ONE[self.backend]
+        return tuple(((i, one),) for i in range(self.side))
 
     @property
     def side(self) -> int:
@@ -325,16 +337,22 @@ class Operator(Record):
         return (-1) * self
 
 
-def _fill(op: Operator, site_dim: int, legs: int, backend: str, den: int, entries):
+def _fill(op: Operator, site_dim: int, legs: int, backend: str, den: int, entries) -> Operator:
     # the fields of a frozen instance, set once at construction
     vars(op).update(site_dim=site_dim, legs=legs, backend=backend, den=den, entries=entries)
+    return op
+
+
+def _mark_unit(op: Operator) -> Operator:
+    """Mark a rational `op` whose stored form is the identity's as a unit; returns `op`."""
+    if op.den == 1 and all(row == ((i, 1),) for i, row in enumerate(op.entries)):
+        vars(op)["_unit"] = True
+    return op
 
 
 def _make(site_dim: int, legs: int, backend: str, den: int, entries) -> Operator:
     """Wrap stored entries that are already in their unique form, unchecked."""
-    op = object.__new__(Operator)
-    _fill(op, site_dim, legs, backend, den, entries)
-    return op
+    return _fill(object.__new__(Operator), site_dim, legs, backend, den, entries)
 
 
 def _finish(site_dim: int, legs: int, backend: str, den: int, rows) -> Operator:
@@ -405,10 +423,15 @@ def _from_flat(site_dim: int, legs: int, den: int, flat: dict[int, int]) -> Oper
 
 
 def identity(site_dim: int, legs: int, backend: str = RATIONAL) -> Operator:
-    """Identity on ``legs`` factors; ``legs = 0`` gives the scalar unit."""
+    """Identity on ``legs`` factors; ``legs = 0`` gives the scalar unit.
+
+    Costs O(1): its stored rows are built the first time ``entries`` is
+    read, and a rational identity is marked as a unit, which the kernels
+    pass through without reading them.
+    """
     _check_space(site_dim, legs, backend)
-    one = _VALUE_ONE[backend]
-    op = _make(site_dim, legs, backend, 1, tuple(((i, one),) for i in range(site_dim**legs)))
+    op = object.__new__(Operator)
+    vars(op).update(site_dim=site_dim, legs=legs, backend=backend, den=1)
     if backend == RATIONAL:  # complex products keep their signed-zero normalisation
         vars(op)["_unit"] = True
     return op
@@ -424,24 +447,40 @@ def swap(site_dim: int, backend: str = RATIONAL) -> Operator:
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product in leg order: `a` occupies the leading legs."""
+    """Kronecker product in leg order: `a` occupies the leading legs.
+
+    With one rational unit factor this is ``embed`` of the other factor,
+    ``a ⊗ I_n = embed(a, 1..m, m+n)`` and ``I_m ⊗ b = embed(b, m+1..m+n,
+    m+n)``, built from that factor's stored rows alone: the unit's rows are
+    not read, and a 0-leg unit gives the other factor back.
+    """
     if a.backend != b.backend:
         raise BackendMismatchError(f"backend mismatch: {a.backend} vs {b.backend}")
     if a.site_dim != b.site_dim:
         raise ShapeMismatchError(f"site_dim mismatch: {a.site_dim} vs {b.site_dim}")
-    if a._unit and not a.legs:
+    m, n = a.legs, b.legs
+    if a._unit and not m:
         return b
-    if b._unit and not b.legs:
+    if b._unit and not n:
         return a
     if a._unit and b._unit:
-        return identity(a.site_dim, a.legs + b.legs)
+        return identity(a.site_dim, m + n)
     db = b.side
+    if a._unit:  # row (l, r) of I_m ⊗ b is row r of b, shifted by l * db
+        return _make(a.site_dim, m + n, RATIONAL, b.den, tuple(
+            tuple([(off + j, w) for j, w in brow])
+            for off in range(0, a.side * db, db) for brow in b.entries
+        ))
+    if b._unit:  # row (r, l) of a ⊗ I_n is row r of a, column j moved to j * db + l
+        return _make(a.site_dim, m + n, RATIONAL, a.den, tuple(
+            tuple([(j * db + l, v) for j, v in arow]) for arow in a.entries for l in range(db)
+        ))
     rows = [
         tuple([(j * db + l, v * w) for j, v in arow for l, w in brow])
         for arow in a.entries
         for brow in b.entries
     ]
-    return _finish(a.site_dim, a.legs + b.legs, a.backend, a.den * b.den, rows)
+    return _finish(a.site_dim, m + n, a.backend, a.den * b.den, rows)
 
 
 def _placement(site_dim: int, slots, total_legs: int) -> tuple[list[int], list[int]]:
@@ -508,9 +547,13 @@ def residual(x: Operator, y: Operator):
     """Max absolute entry of x - y; exact Fraction on the rational backend.
 
     Rows are compared over the common denominator; a row stored equally in
-    both (same denominator) is skipped.
+    both (same denominator) is skipped.  When `x` is `y`, or both are
+    rational units, the result is the zero of the backend, read from no row.
     """
     _check_same_space(x, y)
+    exact = x.backend == RATIONAL
+    if x is y or (x._unit and y._unit):
+        return Fraction(0) if exact else 0.0
     den = math.lcm(x.den, y.den)
     sx, sy = den // x.den, den // y.den
     zero = _VALUE_ZERO[x.backend]
@@ -522,7 +565,7 @@ def residual(x: Operator, y: Operator):
         for j, w in ry:
             diff[j] = diff.get(j, zero) - (w if sy == 1 else sy * w)
         worst = max(worst, max(map(abs, diff.values()), default=0))
-    return Fraction(worst, den) if x.backend == RATIONAL else float(worst)
+    return Fraction(worst, den) if exact else float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybt import (
     COMPLEX64,
@@ -211,3 +213,69 @@ def test_canonical_dumps_is_stable():
     again = canonical_dumps(json.loads(once))
     assert once == again
     assert once.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the rational reader builds the stored form the constructor would
+# ---------------------------------------------------------------------------
+
+
+def constructed(obj) -> Operator:
+    """Reference: the constructor on the parsed dense rows."""
+    return Operator(obj["site_dim"], obj["legs"], obj["scalar"],
+                    [[Fraction(v) for v in row] for row in obj["rows"]])
+
+
+def same_operator(got: Operator, want: Operator):
+    assert got == want and (got.den, got.entries) == (want.den, want.entries)
+    assert got._unit == want._unit
+
+
+def operator_objects(obj):
+    """Every operator object inside a parsed catalog file."""
+    yield obj["r"]
+    if obj["twist"] is not None:
+        yield obj["twist"]["f"]
+        yield obj["twist"]["g"]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_reader_matches_the_constructor_on_every_catalog_file(name):
+    for obj in operator_objects(load_json(catalog.data_path(name))):
+        same_operator(operator_from_obj(obj), constructed(obj))
+
+
+FILE_ENTRIES = st.sampled_from(
+    ["0", "0/5", "-0", "1", "2/2", "1/2", "2/4", "-3/6", "7", "-1/3", "5/10", "-12"]
+)
+
+
+@st.composite
+def rational_objects(draw):
+    site_dim, legs = draw(st.sampled_from([(1, 0), (1, 2), (2, 0), (2, 1), (2, 2),
+                                           (3, 1), (2, 3), (3, 2)]))
+    side = site_dim**legs
+    if draw(st.booleans()):  # an identity, written in any of its spellings
+        one, zero = draw(st.sampled_from(["1", "2/2", "3/3"])), draw(st.sampled_from(["0", "0/3"]))
+        rows = [[one if i == j else zero for j in range(side)] for i in range(side)]
+        if draw(st.booleans()):  # then perhaps spoiled in one place
+            rows[draw(st.integers(0, side - 1))][draw(st.integers(0, side - 1))] = draw(FILE_ENTRIES)
+    else:
+        rows = [[draw(FILE_ENTRIES) for _ in range(side)] for _ in range(side)]
+    return {"scalar": "rational", "site_dim": site_dim, "legs": legs, "rows": rows}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_objects())
+def test_reader_matches_the_constructor_on_random_rows(obj):
+    same_operator(operator_from_obj(obj), constructed(obj))
+
+
+def test_reader_marks_identities_and_reads_a_subspace_file_exactly():
+    obj = {"scalar": "rational", "site_dim": 2, "legs": 1, "rows": [["2/2", "0/7"], ["-0", "1"]]}
+    assert operator_from_obj(obj)._unit
+    basis = r_symmetric_space(identity(2, 2), 3)
+    back = subspace_from_obj(subspace_to_obj(basis))
+    assert back.basis == basis.basis
+    for got, op in zip(back.basis, basis.basis):
+        same_operator(got, constructed(operator_to_obj(op)))

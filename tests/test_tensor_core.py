@@ -9,6 +9,7 @@ own leg machinery.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -483,3 +484,73 @@ def test_a_unit_still_rejects_bad_placements_and_mixed_backends():
         solve(unit, identity(3, 2))
     with pytest.raises(ShapeMismatchError):
         kron(identity(2, 0), identity(3, 1))
+
+
+# ---------------------------------------------------------------------------
+# a unit costs nothing until it is read
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, COMPLEX64])
+@pytest.mark.parametrize("space", [(1, 2), (2, 0), (2, 1), (2, 3), (3, 2), (4, 1)])
+def test_a_lazy_identity_equals_and_hashes_like_one_built_from_rows(space, backend):
+    site_dim, legs = space
+    side = site_dim**legs
+    lazy = identity(site_dim, legs, backend)
+    assert "entries" not in vars(lazy)
+    built = Operator.from_rows(site_dim, legs, [[int(i == j) for j in range(side)]
+                                                for i in range(side)], backend=backend)
+    assert lazy == built and hash(lazy) == hash(built)
+    assert lazy.entries == built.entries and lazy.rows == built.rows
+    assert lazy._unit == built._unit == (backend == RATIONAL)
+    assert identity(site_dim, legs, backend) == lazy  # a second lazy one, read by ==
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_and_operator(), st.data())
+def test_kron_with_a_unit_factor_is_kron_of_unmarked_twins(ops, data):
+    unit, x = ops
+    site_dim = x.site_dim
+    # the other unit keeps the product at most 81 wide
+    more = data.draw(st.integers(0, max(k for k in range(4) if x.side * site_dim**k <= 81)))
+    other = identity(site_dim, more)
+    right, left = kron(x, other), kron(other, x)
+    assert "entries" not in vars(other)  # the unit's rows were not read
+    twin = unmarked(other)
+    total = x.legs + more
+    assert right == kron(unmarked(x), twin) == embed(x, range(1, x.legs + 1), total)
+    assert left == kron(twin, unmarked(x)) == embed(x, range(more + 1, total + 1), total)
+    assert kron(unit, other) == kron(unmarked(unit), twin) == identity(site_dim, x.legs + more)
+
+
+def test_residual_of_an_operator_with_itself_or_of_two_units_is_zero():
+    rng = random.Random(41)
+    x = rand_operator(rng, legs=2)
+    for a, b in ((x, x), (identity(2, 3), identity(2, 3)), (identity(3, 0), identity(3, 0)),
+                 (identity(2, 2), unmarked(identity(2, 2)))):
+        got = residual(a, b)
+        assert got == 0 and type(got) is Fraction
+    z = 1j * identity(2, 2, COMPLEX64)
+    for a, b in ((z, z), (identity(2, 2, COMPLEX64), identity(2, 2, COMPLEX64))):
+        got = residual(a, b)
+        assert got == 0 and type(got) is float
+    with pytest.raises(ShapeMismatchError):
+        residual(identity(2, 2), identity(2, 3))
+    with pytest.raises(BackendMismatchError):
+        residual(identity(2, 2), identity(2, 2, COMPLEX64))
+
+
+def test_a_million_wide_unit_is_made_multiplied_krond_and_compared_unread():
+    tracemalloc.start()
+    try:
+        unit = identity(2, 20)
+        made = [unit, unit @ unit, kron(identity(2, 0), unit), kron(unit, identity(2, 0)),
+                kron(identity(2, 12), identity(2, 8))]
+        zero = residual(unit, identity(2, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert zero == 0
+    for op in made:
+        assert op.side == 2**20 and op._unit and "entries" not in vars(op)
