@@ -194,6 +194,7 @@ def _cmd_fuse(args):
 def _cmd_rsym(args):
     from .subspace_solver import r_symmetric_space
 
+    _check_leg_cap("rsym", args.n, args.max_legs)
     r = resolve_r(args.r)
     basis = r_symmetric_space(r, args.n, size_cap=r.site_dim**args.max_legs)
     outputs = {"dimension": basis.dimension}
@@ -204,6 +205,7 @@ def _cmd_rsym(args):
 def _cmd_intertwine(args):
     from .subspace_solver import intertwiner_space, invertible_certificate
 
+    _check_leg_cap("intertwine", args.n, args.max_legs)
     if args.budget < 1:  # a usage error, refused before anything is solved
         raise YbtError(f"--budget must be >= 1, got {args.budget}")
     r = resolve_r(args.r)

@@ -33,8 +33,6 @@ def fuse_r(r: Operator, m: int, n: int, max_legs: int = DEFAULT_MAX_LEGS) -> Ope
         raise SizeCapError(
             f"fused operator would need {total} legs, above the cap {max_legs}"
         )
-    if m == 0 or n == 0:
-        return identity(r.site_dim, total, r.backend)
     out = identity(r.site_dim, total, r.backend)
     for i in range(1, m + 1):
         for j in range(n, 0, -1):
@@ -72,8 +70,6 @@ def omega_recursive(f_components: dict, n: int) -> Operator:
         raise MissingComponentError("component map is empty")
     probe = next(iter(f_components.values()))
     site_dim, backend = probe.site_dim, probe.backend
-    if n <= 1:
-        return identity(site_dim, n, backend)
     out = identity(site_dim, n, backend)
     for k in range(n - 1, 0, -1):
         comp = _lookup(f_components, 1, k)

@@ -47,8 +47,8 @@ from .tensor_core import (
     _back_substitute,
     _eliminate,
     _from_flat,
+    _normalised,
     _placement,
-    _primitive,
     _rank,
     _to_flat,
     embed,
@@ -305,18 +305,13 @@ def _kernel_basis(groups, num_vars: int) -> list[dict[int, int]]:
                     sub[r] = sub.get(r, 0) + a * num[j] * (lcm // den[j])
             sub = {r: v for r, v in sub.items() if v}
             if sub:
-                sub = _primitive(sub)
-                if sub[min(sub)] < 0:
-                    sub = {r: -v for r, v in sub.items()}
+                sub = _normalised(sub)
                 small.setdefault(frozenset(sub.items()), sub)
     basis = []
     for y in _echelon_kernel(list(small.values()), sorted(members)):
         lcm = math.lcm(*(den[m] for r in y for m in members[r]))
         vec = {m: v * num[m] * (lcm // den[m]) for r, v in y.items() for m in members[r]}
-        vec = _primitive(vec)
-        if vec[min(vec)] < 0:
-            vec = {j: -v for j, v in vec.items()}
-        basis.append(vec)
+        basis.append(_normalised(vec))
     _verify_kernel(groups, basis)
     return basis
 
@@ -405,13 +400,9 @@ def _local_rows(r: Operator, r_tilde: Operator) -> list[tuple[tuple[int, int], .
             for e, v in right[beta]:
                 key = alpha * q + e
                 row[key] = row.get(key, 0) - v
-            keys = sorted(k for k, v in row.items() if v)
-            if not keys:
-                continue
-            content = math.gcd(*(row[k] for k in keys))
-            if row[keys[0]] < 0:
-                content = -content
-            kept[tuple((k, row[k] // content) for k in keys)] = None
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                kept[tuple(sorted(_normalised(row).items()))] = None
     return list(kept)
 
 

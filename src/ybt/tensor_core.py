@@ -23,10 +23,10 @@ same tuple as for any other operator.  A rational identity is marked
 where it is made, by ``identity``, by the constructor or by the file
 reader, and the kernels pass it through unread after their usual checks.
 Products and solves with it return the other operand; ``embed`` of it is
-the identity on the target legs; ``kron`` with it is ``embed`` of the
-other factor, built from that factor's rows (or the factor itself, for a
-0-leg unit); and ``residual`` of two units, or of an operator with
-itself, is an exact zero.
+the identity on the target legs; ``kron`` with it returns ``embed`` of
+the other factor (or the factor itself, for a 0-leg unit); and
+``residual`` of two units, or of an operator with itself, is an exact
+zero.
 
 Exact linear algebra on the rational backend rests on two integer
 kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
@@ -42,9 +42,9 @@ pass: the last pivot, signed by the row swaps.
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
 P_sigma X P_sigma^-1 with P_sigma the leg-permutation matrix.  One
-helper, ``_placement``, turns legs into row-major indices: ``embed``
-reads it, ``leg_permute`` is ``embed`` onto all legs, and the solver's
-shifted rows read the same maps.
+helper, ``_placement``, turns legs into row-major indices, once per
+process for each placement: ``embed`` reads it, ``leg_permute`` is
+``embed`` onto all legs, and the solver's shifted rows read the same maps.
 """
 
 from __future__ import annotations
@@ -451,8 +451,8 @@ def kron(a: Operator, b: Operator) -> Operator:
 
     With one rational unit factor this is ``embed`` of the other factor,
     ``a ⊗ I_n = embed(a, 1..m, m+n)`` and ``I_m ⊗ b = embed(b, m+1..m+n,
-    m+n)``, built from that factor's stored rows alone: the unit's rows are
-    not read, and a 0-leg unit gives the other factor back.
+    m+n)``, so the unit's rows are not read; a 0-leg unit gives the other
+    factor back, and two units give the identity.
     """
     if a.backend != b.backend:
         raise BackendMismatchError(f"backend mismatch: {a.backend} vs {b.backend}")
@@ -465,16 +465,11 @@ def kron(a: Operator, b: Operator) -> Operator:
         return a
     if a._unit and b._unit:
         return identity(a.site_dim, m + n)
+    if a._unit:
+        return embed(b, range(m + 1, m + n + 1), m + n)
+    if b._unit:
+        return embed(a, range(1, m + 1), m + n)
     db = b.side
-    if a._unit:  # row (l, r) of I_m ⊗ b is row r of b, shifted by l * db
-        return _make(a.site_dim, m + n, RATIONAL, b.den, tuple(
-            tuple([(off + j, w) for j, w in brow])
-            for off in range(0, a.side * db, db) for brow in b.entries
-        ))
-    if b._unit:  # row (r, l) of a ⊗ I_n is row r of a, column j moved to j * db + l
-        return _make(a.site_dim, m + n, RATIONAL, a.den, tuple(
-            tuple([(j * db + l, v) for j, v in arow]) for arow in a.entries for l in range(db)
-        ))
     rows = [
         tuple([(j * db + l, v * w) for j, v in arow for l, w in brow])
         for arow in a.entries
@@ -483,22 +478,31 @@ def kron(a: Operator, b: Operator) -> Operator:
     return _finish(a.site_dim, m + n, a.backend, a.den * b.den, rows)
 
 
+_PLACEMENTS: dict = {}  # (site_dim, slots, total_legs) -> the maps of `_placement`
+
+
 def _placement(site_dim: int, slots, total_legs: int) -> tuple[list[int], list[int]]:
     """The row-major index maps behind every leg placement, built in one place.
 
     Leg s has place value ``site_dim**(total_legs - s)``.  ``pos[a]`` is
     where index a of the slotted legs lands (factor t on ``slots[t]``) with
     every other leg at 0, and ``rest`` lists the offsets of every setting
-    of the other legs, first leg slowest.  Both grow one leg at a time.
+    of the other legs, first leg slowest.  Both grow one leg at a time,
+    once per process for each (site_dim, slots, total_legs): the maps are
+    memoized and shared by every caller, so treat them as read-only.
     """
-    maps = []
-    for legs in (slots, [s for s in range(1, total_legs + 1) if s not in slots]):
-        offsets = [0]
-        for s in legs:
-            step = site_dim ** (total_legs - s)
-            offsets = [o + k for o in offsets for k in range(0, site_dim * step, step)]
-        maps.append(offsets)
-    return maps[0], maps[1]
+    slots = tuple(slots)
+    key = (site_dim, slots, total_legs)
+    if key not in _PLACEMENTS:
+        maps = []
+        for legs in (slots, [s for s in range(1, total_legs + 1) if s not in slots]):
+            offsets = [0]
+            for s in legs:
+                step = site_dim ** (total_legs - s)
+                offsets = [o + k for o in offsets for k in range(0, site_dim * step, step)]
+            maps.append(offsets)
+        _PLACEMENTS[key] = maps[0], maps[1]
+    return _PLACEMENTS[key]
 
 
 def leg_permute(x: Operator, sigma) -> Operator:
@@ -579,6 +583,12 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     if g > 1:
         return {j: v // g for j, v in row.items()}
     return row
+
+
+def _normalised(row: dict[int, int]) -> dict[int, int]:
+    """`_primitive` of a nonzero sparse integer row, signed so its lowest column is positive."""
+    row = _primitive(row)
+    return {j: -v for j, v in row.items()} if row[min(row)] < 0 else row
 
 
 #: Bits of row scaling that `_eliminate` lets a row gather before it strips

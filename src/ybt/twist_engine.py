@@ -139,6 +139,15 @@ def apply_twist(r: Operator, f: Operator) -> Operator:
     return solve(f21, r) @ f  # (F21^-1 R) F, the complex rounding order
 
 
+def _twisted(r: Operator, pair: TwistPair) -> Operator:
+    """``apply_twist(r, pair.f)`` by the cached F21^-1 = (F^-1)21, once `r` fits the pair."""
+    if r.legs != 2:
+        raise ShapeMismatchError("r must have 2 legs")
+    if r.site_dim != pair.site_dim or r.backend != pair.backend:
+        raise ShapeMismatchError("r and pair must share site_dim and backend")
+    return leg_permute(pair.f_inv, (2, 1)) @ r @ pair.f
+
+
 def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckReport:
     """Verify the twist conditions of a pair against a base R-matrix.
 
@@ -146,16 +155,11 @@ def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckR
     information; the verdict gates on cond1..cond3 only, so a pair can be
     studied against a base R that itself fails the Yang-Baxter equation.
     """
-    if r.legs != 2:
-        raise ShapeMismatchError("r must have 2 legs")
-    if r.site_dim != pair.site_dim or r.backend != pair.backend:
-        raise ShapeMismatchError("r and pair must share site_dim and backend")
+    twisted = _twisted(r, pair)
     zero = Fraction(0) if r.backend == RATIONAL else 0.0
     r12 = embed(r, [1, 2], 3)
     r23 = embed(r, [2, 3], 3)
     phi, psi = pair.phi, pair.psi
-    # apply_twist(r, pair.f), reusing the cached inverse: F21^-1 = (F^-1)21
-    twisted = leg_permute(pair.f_inv, (2, 1)) @ r @ pair.f
     cond2 = residual(r12 @ phi, leg_permute(phi, (2, 1, 3)) @ r12)
     cond3 = residual(r23 @ psi, leg_permute(psi, (1, 3, 2)) @ r23)
     residuals = {
@@ -176,12 +180,8 @@ def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckR
 
 def aux_identity_residual(r: Operator, pair: TwistPair):
     """Residual of F12^-1 psi312^-1 R13 R23 phi123 F12 - Rt13 Rt23."""
-    if r.legs != 2:
-        raise ShapeMismatchError("r must have 2 legs")
-    if r.site_dim != pair.site_dim or r.backend != pair.backend:
-        raise ShapeMismatchError("r and pair must share site_dim and backend")
-    # cached inverses only: F21^-1 = (F^-1)21 and psi^-1 = F23 G^-1
-    rt = leg_permute(pair.f_inv, (2, 1)) @ r @ pair.f
+    rt = _twisted(r, pair)
+    # cached inverses only: psi^-1 = F23 G^-1
     f12 = embed(pair.f, [1, 2], 3)
     f12_inv = embed(pair.f_inv, [1, 2], 3)
     psi_bar_312 = leg_permute(embed(pair.f, [2, 3], 3) @ pair.g_inv, (3, 1, 2))

@@ -196,6 +196,31 @@ def test_fuse_refuses_legs_over_the_cap(capsys, monkeypatch):
     assert "fuse on 4 legs is above the cap 3" in err
 
 
+@pytest.mark.parametrize("argv", [("rsym", "R"), ("intertwine", "R", "R")])
+def test_solvers_refuse_legs_over_the_cap_before_resolving(capsys, monkeypatch, tmp_path, argv):
+    command = argv[0]
+    resolved = []
+    monkeypatch.setattr(cli, "_resolve_entry", lambda ref: resolved.append(ref))
+    refs = ["catalog:six_vertex" if a == "R" else a for a in argv]
+    code, out, err = run(capsys, *refs, "-n", 7)
+    assert code == 2 and out == ""
+    assert f"{command} on 7 legs is above the cap 6" in err
+    assert resolved == []
+    # refused before R is resolved: the file is never opened
+    refs = ["missing.json" if a == "R" else a for a in argv]
+    code, out, err = run(capsys, *refs, "-n", 4, "--max-legs", 3)
+    assert code == 2 and out == ""
+    assert f"{command} on 4 legs is above the cap 3" in err
+    # a site_dim-1 R has side 1 on any number of legs, and is refused all the same
+    path = tmp_path / "r1.json"
+    save_operator(Operator.from_rows(1, 2, [[1]]), path)
+    refs = [path if a == "R" else a for a in argv]
+    code, out, err = run(capsys, *refs, "-n", 7)
+    assert code == 2 and out == ""
+    assert f"{command} on 7 legs is above the cap 6" in err
+    assert run(capsys, *refs, "-n", 7, "--max-legs", 7)[0] == 0
+
+
 def test_te1_refuses_negative_indices_before_building(capsys, monkeypatch):
     built = []
     for name in ("omega_split_A", "omega_split_B"):

@@ -257,6 +257,18 @@ def test_placement_matches_digit_by_digit_reference(case):
                     for b in range(site_dim ** len(rest_legs))]
 
 
+def test_placement_is_built_once_and_left_unchanged_by_embed():
+    pos, rest = _placement(2, [3, 1], 4)
+    again = _placement(2, (3, 1), 4)
+    assert again[0] is pos and again[1] is rest
+    before = (list(pos), list(rest))
+    for x in (swap(2), rand_operator(random.Random(5), 2, 2), diag_operator([1, 2, 3, 4], legs=2)):
+        placed = embed(x, [3, 1], 4)
+        assert placed == leg_permute(kron(x, identity(2, 2)), (3, 1, 2, 4))
+    assert _placement(2, [3, 1], 4)[0] is pos
+    assert (pos, rest) == before
+
+
 # ---------------------------------------------------------------------------
 # invert / determinant
 # ---------------------------------------------------------------------------
