@@ -41,9 +41,9 @@ def check_split_A(r: Operator, f: Operator, tol: float | None = None) -> CheckRe
     r12 = embed(r, [1, 2], 3)
     r23 = embed(r, [2, 3], 3)
     residuals = {
-        "A1": residual(r23 @ f13 @ f12, f12 @ f13 @ r23),
-        "A2": residual(r12 @ f23 @ f13, f13 @ f23 @ r12),
-        "A3": residual(f12 @ f23, f23 @ f12),
+        "A1": residual((r23, f13, f12), (f12, f13, r23)),
+        "A2": residual((r12, f23, f13), (f13, f23, r12)),
+        "A3": residual((f12, f23), (f23, f12)),
     }
     return CheckReport.build(residuals, r.backend, tol)
 
@@ -59,8 +59,7 @@ def pair_from_split_A(f: Operator) -> TwistPair:
         raise ShapeMismatchError("f must have 2 legs")
     f12, f13, f23 = _split_embeds(f)
     g = f13 @ f23 @ f12
-    alt = f13 @ f12 @ f23
-    gap = residual(g, alt)
+    gap = residual(g, (f13, f12, f23))
     if gap != 0:
         warnings.warn(
             f"the two three-leg candidates differ (residual {gap}); "
@@ -79,8 +78,8 @@ def check_split_B(r: Operator, f: Operator, tol: float | None = None) -> CheckRe
     r23 = embed(r, [2, 3], 3)
     rt12 = embed(rt, [1, 2], 3)
     residuals = {
-        "B1": residual(r23 @ f12 @ f13, f13 @ f12 @ r23),
-        "B2": residual(rt12 @ f13 @ f23, f23 @ f13 @ rt12),
+        "B1": residual((r23, f12, f13), (f13, f12, r23)),
+        "B2": residual((rt12, f13, f23), (f23, f13, rt12)),
     }
     return CheckReport.build(residuals, r.backend, tol)
 

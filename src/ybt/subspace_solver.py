@@ -550,7 +550,7 @@ def braid_intertwine_residual(
         sigma = list(range(1, n + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         tau_omega = leg_permute(omega, sigma)
-        residuals[f"position_{i}"] = residual(r_i @ omega, tau_omega @ rt_i)
+        residuals[f"position_{i}"] = residual((r_i, omega), (tau_omega, rt_i))
     return CheckReport.build(residuals, omega.backend, tol)
 
 
@@ -564,7 +564,7 @@ def r_symmetric_residual(r: Operator, z: Operator):
     b = braid_matrix(r)
     for i in range(1, z.legs):
         b_i = embed(b, [i, i + 1], z.legs)
-        res = residual(b_i @ z, z @ b_i)
+        res = residual((b_i, z), (z, b_i))
         if worst is None or res > worst:
             worst = res
     return worst

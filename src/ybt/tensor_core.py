@@ -28,6 +28,12 @@ the other factor (or the factor itself, for a 0-leg unit); and
 ``residual`` of two units, or of an operator with itself, is an exact
 zero.
 
+``residual`` also takes a tuple of operators on either side, read as
+their product.  On the rational backend it builds no product: it forms
+row i of each side in integers, compares the two rows and drops them, so
+a check pays for the arithmetic of the products but not for their stored
+form.
+
 Exact linear algebra on the rational backend rests on two integer
 kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
 choice of independent rows come from fraction-free, content-stripped
@@ -51,8 +57,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import attrgetter
+from functools import cache, cached_property, reduce
+from operator import attrgetter, is_, matmul
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
 
@@ -522,8 +528,9 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
     Equals P_sigma (x ⊗ 1) P_sigma^-1 for the sigma sending the leading
     legs to `slots` and filling the rest monotonically; with `slots` a
     permutation of all legs it is ``leg_permute``.  Costs one copy per
-    stored entry of the result; the first copy of each row of `x` is the
-    sorted row itself.
+    stored entry of the result.  The first copy of each row of `x` is put
+    in column order by a sort, which ascending `slots` skip: they place
+    the columns of a row in the order they are stored.
     """
     slots = list(slots)
     if len(set(slots)) != len(slots):
@@ -537,9 +544,13 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
     N = x.site_dim
     pos, rest = _placement(N, slots, total_legs)
     others = rest[1:]  # rest[0] is the offset 0
+    ascending = slots == sorted(slots)  # then `pos` is increasing
     rows: list[Row] = [()] * N**total_legs
     for a, row in enumerate(x.entries):
-        moved = tuple(sorted([(pos[b], v) for b, v in row]))
+        moved = [(pos[b], v) for b, v in row]
+        if not ascending:
+            moved.sort()
+        moved = tuple(moved)
         base = pos[a]
         rows[base] = moved
         for off in others:
@@ -547,13 +558,24 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
     return _make(N, total_legs, x.backend, x.den, tuple(rows))
 
 
-def residual(x: Operator, y: Operator):
+def residual(x, y):
     """Max absolute entry of x - y; exact Fraction on the rational backend.
 
     Rows are compared over the common denominator; a row stored equally in
     both (same denominator) is skipped.  When `x` is `y`, or both are
     rational units, the result is the zero of the backend, read from no row.
+
+    Either side may be a tuple of operators, read as their product
+    ``x[0] @ x[1] @ ...``; a mismatched factor raises what ``@`` raises.
+    On the rational backend no product is built: rational units are
+    dropped, two chains of the same objects give zero at once, and
+    otherwise row i of each product is formed in integers over the product
+    of its factors' ``den``, compared, and dropped.  The value is the
+    exact one of the built products.  On the complex backend each chain
+    is multiplied out with ``@``, so the rounding is that of the products.
     """
+    if type(x) is tuple or type(y) is tuple:
+        return _chain_residual(x if type(x) is tuple else (x,), y if type(y) is tuple else (y,))
     _check_same_space(x, y)
     exact = x.backend == RATIONAL
     if x is y or (x._unit and y._unit):
@@ -570,6 +592,69 @@ def residual(x: Operator, y: Operator):
             diff[j] = diff.get(j, zero) - (w if sy == 1 else sy * w)
         worst = max(worst, max(map(abs, diff.values()), default=0))
     return Fraction(worst, den) if exact else float(worst)
+
+
+def _chain_residual(xs: tuple, ys: tuple):
+    """``residual`` of the products of two tuples of operators."""
+    if not xs or not ys:
+        raise ShapeMismatchError("an empty tuple names no operator product")
+    for chain in (xs, ys):  # the checks, in the order `x0 @ x1 @ ...` makes them
+        for op in chain[1:]:
+            _check_same_space(chain[0], op)
+    _check_same_space(xs[0], ys[0])
+    if xs[0].backend != RATIONAL:
+        return residual(reduce(matmul, xs), reduce(matmul, ys))
+    unit = [identity(xs[0].site_dim, xs[0].legs)]
+    xs = [op for op in xs if not op._unit] or unit
+    ys = [op for op in ys if not op._unit] or unit
+    if len(xs) == len(ys) and all(map(is_, xs, ys)):
+        return Fraction(0)
+    if len(xs) == 1 == len(ys):
+        return residual(xs[0], ys[0])
+    dx, dy = math.prod([op.den for op in xs]), math.prod([op.den for op in ys])
+    den = math.lcm(dx, dy)
+    sx, sy = den // dx, den // dy
+    first_x, *rest_x = [op.entries for op in xs]
+    first_y, *rest_y = [op.entries for op in ys]
+    side = xs[0].side
+    worst = 0
+    for i in range(side):
+        row_x = _row_product(first_x[i], rest_x, side)
+        row_y = _row_product(first_y[i], rest_y, side)
+        diff = dict(row_x) if sx == 1 else {j: sx * v for j, v in row_x}
+        get = diff.get
+        for j, w in row_y:
+            diff[j] = get(j, 0) - (w if sy == 1 else sy * w)
+        worst = max(worst, max(map(abs, diff.values()), default=0))
+    return Fraction(worst, den)
+
+
+def _row_product(row, factors: list, side: int):
+    """(column, value) pairs of the integer row ``row @ F1 @ F2 ...``, in any order.
+
+    `row` is a stored row and each ``F`` is the stored rows of a factor.
+    Each step takes the row rule of ``@``; the result is neither sorted
+    nor divided by a common factor, and may hold zeros.
+    """
+    for right in factors:
+        n = len(row)
+        if n == 1:  # a scaled copy of one row of the factor
+            (k, a), = row
+            row = right[k] if a == 1 else [(j, a * b) for j, b in right[k]]
+        elif n * 4 >= side:  # dense enough to sum in a list
+            sums = [0] * side
+            for k, a in row:
+                for j, b in right[k]:
+                    sums[j] += a * b
+            row = [kv for kv in enumerate(sums) if kv[1]]
+        else:
+            acc: dict = {}
+            get = acc.get
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = get(j, 0) + a * b
+            row = acc.items()
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,8 @@ def check_pair(r: Operator, pair: TwistPair, tol: float | None = None) -> CheckR
     r12 = embed(r, [1, 2], 3)
     r23 = embed(r, [2, 3], 3)
     phi, psi = pair.phi, pair.psi
-    cond2 = residual(r12 @ phi, leg_permute(phi, (2, 1, 3)) @ r12)
-    cond3 = residual(r23 @ psi, leg_permute(psi, (1, 3, 2)) @ r23)
+    cond2 = residual((r12, phi), (leg_permute(phi, (2, 1, 3)), r12))
+    cond3 = residual((r23, psi), (leg_permute(psi, (1, 3, 2)), r23))
     residuals = {
         "ybe_r": ybe_residual(r),
         "cond1": zero,
@@ -187,9 +187,8 @@ def aux_identity_residual(r: Operator, pair: TwistPair):
     psi_bar_312 = leg_permute(embed(pair.f, [2, 3], 3) @ pair.g_inv, (3, 1, 2))
     r13 = embed(r, [1, 3], 3)
     r23 = embed(r, [2, 3], 3)
-    lhs = f12_inv @ psi_bar_312 @ r13 @ r23 @ pair.phi @ f12
-    rhs = embed(rt, [1, 3], 3) @ embed(rt, [2, 3], 3)
-    return residual(lhs, rhs)
+    lhs = (f12_inv, psi_bar_312, r13, r23, pair.phi, f12)
+    return residual(lhs, (embed(rt, [1, 3], 3), embed(rt, [2, 3], 3)))
 
 
 def compose_pairs(pair1: TwistPair, pair2: TwistPair) -> TwistPair:

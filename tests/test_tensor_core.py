@@ -9,13 +9,19 @@ own leg machinery.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ybt
 from ybt import (
     COMPLEX64,
     Operator,
@@ -33,7 +39,7 @@ from ybt import (
 from ybt.errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
 from ybt.tensor_core import _make, _placement
 
-from conftest import diag_operator, rand_invertible, rand_operator
+from conftest import diag_operator, rand_fraction, rand_invertible, rand_operator
 
 
 def index_map_matrix(site_dim, legs, index_fn):
@@ -566,3 +572,211 @@ def test_a_million_wide_unit_is_made_multiplied_krond_and_compared_unread():
     assert zero == 0
     for op in made:
         assert op.side == 2**20 and op._unit and "entries" not in vars(op)
+
+
+# ---------------------------------------------------------------------------
+# residuals of products given as tuples of factors
+# ---------------------------------------------------------------------------
+
+
+def chain_factor(rng, site_dim, legs, backend=RATIONAL):
+    """A random factor: a unit, an unmarked unit, or sparse fractions with zero rows."""
+    pick = rng.random()
+    if pick < 0.15:
+        return identity(site_dim, legs, backend)
+    if pick < 0.2:
+        return unmarked(identity(site_dim, legs, backend))
+    side = site_dim**legs
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+             for _ in range(side)] if rng.random() > 0.15 else [0] * side
+            for _ in range(side)]
+    if backend == COMPLEX64:
+        rows = [[complex(v) for v in row] for row in rows]
+    return Operator(site_dim, legs, backend, rows)
+
+
+def chain_cases(rng):
+    """(x, y) tuples of 1-6 factors on one space: apart, regrouped or the same objects."""
+    site_dim, legs = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    backend = rng.choice([RATIONAL, RATIONAL, COMPLEX64])
+    xs = tuple(chain_factor(rng, site_dim, legs, backend) for _ in range(rng.randint(1, 6)))
+    ys = tuple(chain_factor(rng, site_dim, legs, backend) for _ in range(rng.randint(1, 6)))
+    cut = rng.randrange(len(xs))
+    regrouped = xs[:cut] + (reduce(matmul, xs[cut:cut + 2]),) + xs[cut + 2:]
+    padded = list(xs)
+    padded.insert(rng.randint(0, len(xs)), identity(site_dim, legs, backend))
+    return [(xs, ys), (xs, regrouped), (tuple(padded), xs), (xs, tuple(xs)), (xs, ys[0]),
+            (ys[0], xs), ((reduce(matmul, xs),), xs)]
+
+
+def chain_residual_problems(xs, ys):
+    """How ``residual`` of the tuples differs from that of the built products, if it does."""
+    product = (lambda c: reduce(matmul, c) if type(c) is tuple else c)
+    got, want = residual(xs, ys), residual(product(xs), product(ys))
+    if type(got) is not type(want) or got != want:
+        return [f"{got!r} != {want!r}"]
+    if type(got) is float and got.hex() != want.hex():
+        return [f"{got.hex()} is not bitwise {want.hex()}"]
+    return []
+
+
+def raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 -- the class is the result
+        return type(exc)
+    return None
+
+
+# factors that differ from a (2, 2) rational chain in site_dim, legs or backend
+MISFITS = [identity(3, 2), identity(4, 1), identity(2, 1), identity(2, 3),
+           identity(2, 2, COMPLEX64), 1j * identity(2, 1, COMPLEX64),
+           unmarked(identity(3, 1)), swap(3)]
+
+
+def chain_error_problems(rng):
+    """How the error of a chain with misfit factors differs from that of its products."""
+    xs = [chain_factor(rng, 2, 2) for _ in range(rng.randint(1, 4))]
+    ys = [chain_factor(rng, 2, 2) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 2)):
+        chain = rng.choice([xs, ys])
+        chain[rng.randrange(len(chain))] = rng.choice(MISFITS)
+    xs, ys = tuple(xs), tuple(ys)
+    got = raised(lambda: residual(xs, ys))
+    want = raised(lambda: residual(reduce(matmul, xs), reduce(matmul, ys)))
+    return [] if got is want and want is not None else [f"{got} is not {want}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_a_chain_residual_is_the_residual_of_its_built_products(seed):
+    for xs, ys in chain_cases(random.Random(seed)):
+        assert not chain_residual_problems(xs, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_a_misfit_factor_in_a_chain_raises_what_its_product_raises(seed):
+    assert not chain_error_problems(random.Random(seed))
+    with pytest.raises(ShapeMismatchError):
+        residual((), identity(2, 2))
+
+
+def test_chain_residuals_and_errors_match_products_under_optimized_python():
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(ybt.__file__).resolve().parents[1])
+    code = (
+        f"import random, sys\nsys.path[:0] = [{src!r}, {tests!r}]\n"
+        "import test_tensor_core as t\n"
+        "for seed in range(40):\n"
+        "    rng = random.Random(seed)\n"
+        "    if t.chain_error_problems(rng):\n"
+        "        raise SystemExit(2)\n"
+        "    for xs, ys in t.chain_cases(rng):\n"
+        "        if t.chain_residual_problems(xs, ys):\n"
+        "            raise SystemExit(1)\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_chains_of_the_same_objects_are_equal_unread():
+    class Unreadable(tuple):
+        def __getitem__(self, i):
+            raise AssertionError("a row was read")
+
+        def __iter__(self):
+            raise AssertionError("a row was read")
+
+    a, b = (_make(2, 2, RATIONAL, 1, Unreadable()) for _ in range(2))
+    unit = identity(2, 2)
+    for xs, ys in (((a, b), (a, b)), ((a, unit, b), (unit, a, unit, b)), ((unit, a), a)):
+        got = residual(xs, ys)
+        assert got == 0 and type(got) is Fraction
+
+
+def test_a_million_wide_unit_only_chain_is_answered_unread():
+    tracemalloc.start()
+    try:
+        unit, other = identity(2, 20), identity(2, 20)
+        zeros = [residual((unit, other), unit), residual(unit, (other, other, unit)),
+                 residual((unit,), (other,))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert all(z == 0 and type(z) is Fraction for z in zeros)
+    assert "entries" not in vars(unit) and "entries" not in vars(other)
+
+
+def test_checks_given_chains_build_no_product(monkeypatch):
+    from ybt import check_split_A, fuse_r, mixed_ybe_residual
+    from ybt.catalog import six_vertex_r
+
+    six = six_vertex_r(Fraction(3))
+    bad = [list(row) for row in six.rows]
+    bad[0][1] += 1
+    bad = Operator.from_rows(2, 2, bad)
+    f = rand_invertible(random.Random(43), legs=2)
+    mixed, split = [], []
+    for r in (six, bad):
+        blocks = fuse_r(r, 2, 1), fuse_r(r, 2, 1), fuse_r(r, 1, 1)
+        a, b, c = (embed(x, s, 4) for x, s in zip(blocks, ([1, 2, 3], [1, 2, 4], [3, 4])))
+        mixed.append((blocks, residual(a @ b @ c, c @ b @ a)))
+        r12, r23 = embed(r, [1, 2], 3), embed(r, [2, 3], 3)
+        f12, f13, f23 = embed(f, [1, 2], 3), embed(f, [1, 3], 3), embed(f, [2, 3], 3)
+        split.append((r, {"A1": residual(r23 @ f13 @ f12, f12 @ f13 @ r23),
+                          "A2": residual(r12 @ f23 @ f13, f13 @ f23 @ r12),
+                          "A3": residual(f12 @ f23, f23 @ f12)}))
+    assert mixed[0][1] == 0 != mixed[1][1] and any(split[1][1].values())
+
+    def refused(self, other):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(Operator, "__matmul__", refused)
+    for blocks, want in mixed:
+        got = mixed_ybe_residual(*blocks, 2, 1, 1)
+        assert got == want and type(got) is Fraction
+    for r, want in split:
+        got = check_split_A(r, f).residuals
+        assert got == want and all(type(v) is Fraction for v in got.values())
+
+
+def digit_embed(x, slots, total):
+    """Oracle: entry (I, J) is x[a][b] when I and J agree off `slots`, with a, b
+    read from their digits on `slots` in slot order; no library placement is used."""
+    d = x.site_dim
+
+    def digits(idx):
+        return [idx // d ** (total - 1 - t) % d for t in range(total)]
+
+    def on_slots(ds):
+        idx = 0
+        for s in slots:
+            idx = idx * d + ds[s - 1]
+        return idx
+
+    rest = [s for s in range(1, total + 1) if s not in slots]
+    rows = []
+    for i in range(d**total):
+        di = digits(i)
+        rows.append([
+            x.rows[on_slots(di)][on_slots(dj)]
+            if all(di[s - 1] == dj[s - 1] for s in rest) else 0
+            for dj in map(digits, range(d**total))
+        ])
+    return Operator(d, total, RATIONAL, rows)
+
+
+@pytest.mark.parametrize("slots", [(3, 1), (2, 1, 3), (1, 3), (1, 2), (2, 3), (3,), (1, 2, 3),
+                                   (3, 2, 1)])
+@pytest.mark.parametrize("site_dim", [2, 3])
+def test_embed_with_ascending_or_other_slots_matches_a_digit_reference(slots, site_dim):
+    rng = random.Random(47)
+    side = site_dim ** len(slots)
+    x = Operator(site_dim, len(slots), RATIONAL, [
+        [rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(side)]
+        for _ in range(side)])
+    placed = embed(x, slots, 3)
+    assert placed == digit_embed(x, slots, 3)
+    assert all([j for j, _ in row] == sorted(j for j, _ in row) for row in placed.entries)
