@@ -115,8 +115,8 @@ def _resolve_components(ref: str, m: int, n: int, k: int) -> dict:
             raise ShapeMismatchError("indices must be non-negative")
         pairs = ((m + n, k), (m, n), (m, n + k), (n, k))
         wanted = sorted({(a, b) for a, b in pairs if a > 0 and b > 0})
-        if not wanted and m + n + k >= 2:
-            wanted = [(1, 1)]  # all identities; F^{1,1} only fixes site_dim and backend
+        if not wanted:
+            wanted = [(1, 1)]  # all identities; F^{1,1} = Omega^2 only fixes site_dim and backend
         legs = sorted({j for a, b in wanted for j in (a, b, a + b) if j >= 2})
         f = entry.twist.f
         omegas = {j: build(f, j) for j in legs}

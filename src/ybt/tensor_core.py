@@ -28,10 +28,11 @@ the other factor (or the factor itself, for a 0-leg unit); and
 ``residual`` of two units, or of an operator with itself, is an exact
 zero.
 
-``residual`` also takes a tuple of operators on either side, read as
-their product.  On the rational backend it builds no product: it forms
-row i of each side in integers, compares the two rows and drops them, so
-a check pays for the arithmetic of the products but not for their stored
+One function, ``_times``, holds the row rule of ``@``.  ``residual``
+also takes a tuple of operators on either side, read as their product:
+on the rational backend it multiplies each side out by that rule and
+compares the unsorted rows in the loop that compares two operators, so a
+check pays for the arithmetic of the products but not for their stored
 form.
 
 Exact linear algebra on the rational backend rests on two integer
@@ -296,30 +297,7 @@ class Operator(Record):
             return other
         if other._unit:
             return self
-        zero = _VALUE_ZERO[self.backend]
-        right = other.entries
-        side = self.side
-        out = []
-        for arow in self.entries:
-            n = len(arow)
-            if n == 1:  # a scaled copy of one row of `other`
-                k, a = arow[0]
-                out.append(right[k] if a == 1 else tuple([(j, a * b) for j, b in right[k]]))
-            elif not n:
-                out.append(())
-            elif n * 4 >= side:  # dense enough to sum in a list
-                sums = [zero] * side
-                for k, a in arow:
-                    for j, b in right[k]:
-                        sums[j] += a * b
-                out.append(tuple([kv for kv in enumerate(sums) if kv[1]]))
-            else:
-                acc: dict = {}
-                get = acc.get
-                for k, a in arow:
-                    for j, b in right[k]:
-                        acc[j] = get(j, zero) + a * b
-                out.append(tuple([kv for kv in sorted(acc.items()) if kv[1]]))
+        out = _times(self.entries, other.entries, _VALUE_ZERO[self.backend], stored=True)
         return _finish(self.site_dim, self.legs, self.backend, self.den * other.den, out)
 
     def __add__(self, other: Operator) -> Operator:
@@ -558,6 +536,44 @@ def embed(x: Operator, slots, total_legs: int) -> Operator:
     return _make(N, total_legs, x.backend, x.den, tuple(rows))
 
 
+def _times(rows, right, zero, stored: bool = False) -> list:
+    """The rows of ``rows @ right``: the row rule of ``@``, over all rows at once.
+
+    `rows` are (column, value) pairs in any order, `right` the stored rows
+    of the right factor, and `zero` the zero of their values.  A row with
+    one entry gives a scaled copy of a row of `right` (that stored tuple
+    itself when the coefficient is 1), a row at least a quarter full sums
+    into a list read off in column order, and any other row sums into a
+    dict.  With `stored` the dict is read off sorted, so stored `rows` give
+    stored rows up to a common factor; else it comes as its ``items()``,
+    unsorted.  Rows given with zero values may give zero values.
+    """
+    side = len(right)
+    out = []
+    for row in rows:
+        n = len(row)
+        if n == 1:
+            (k, a), = row
+            out.append(right[k] if a == 1 else tuple([(j, a * b) for j, b in right[k]]))
+        elif not n:
+            out.append(())
+        elif n * 4 >= side:
+            sums = [zero] * side
+            for k, a in row:
+                for j, b in right[k]:
+                    sums[j] += a * b
+            out.append(tuple([kv for kv in enumerate(sums) if kv[1]]))
+        else:
+            acc: dict = {}
+            get = acc.get
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = get(j, zero) + a * b
+            out.append(tuple([kv for kv in sorted(acc.items()) if kv[1]]) if stored
+                       else acc.items())
+    return out
+
+
 def residual(x, y):
     """Max absolute entry of x - y; exact Fraction on the rational backend.
 
@@ -567,94 +583,57 @@ def residual(x, y):
 
     Either side may be a tuple of operators, read as their product
     ``x[0] @ x[1] @ ...``; a mismatched factor raises what ``@`` raises.
-    On the rational backend no product is built: rational units are
+    On the rational backend no product is stored: rational units are
     dropped, two chains of the same objects give zero at once, and
-    otherwise row i of each product is formed in integers over the product
-    of its factors' ``den``, compared, and dropped.  The value is the
-    exact one of the built products.  On the complex backend each chain
-    is multiplied out with ``@``, so the rounding is that of the products.
+    otherwise each side is multiplied out by ``@``'s row rule over the
+    product of its factors' ``den``, and its unsorted, unreduced rows go
+    through the same comparison.  The value is the exact one of the built
+    products.  On the complex backend each chain is multiplied out with
+    ``@``, so the rounding is that of the products.
     """
     if type(x) is tuple or type(y) is tuple:
-        return _chain_residual(x if type(x) is tuple else (x,), y if type(y) is tuple else (y,))
+        xs, ys = (x if type(x) is tuple else (x,)), (y if type(y) is tuple else (y,))
+        if not xs or not ys:
+            raise ShapeMismatchError("an empty tuple names no operator product")
+        for chain in (xs, ys):  # the checks, in the order `x0 @ x1 @ ...` makes them
+            for op in chain[1:]:
+                _check_same_space(chain[0], op)
+        _check_same_space(xs[0], ys[0])
+        if xs[0].backend != RATIONAL:
+            return residual(reduce(matmul, xs), reduce(matmul, ys))
+        unit = [identity(xs[0].site_dim, xs[0].legs)]
+        xs = [op for op in xs if not op._unit] or unit
+        ys = [op for op in ys if not op._unit] or unit
+        if len(xs) == len(ys) and all(map(is_, xs, ys)):
+            return Fraction(0)
+        sides = []
+        for chain in (xs, ys):
+            rows = chain[0].entries
+            for op in chain[1:]:
+                rows = _times(rows, op.entries, 0)
+            sides += [rows, math.prod([op.den for op in chain])]
+        return _max_diff(*sides, RATIONAL)
     _check_same_space(x, y)
-    exact = x.backend == RATIONAL
     if x is y or (x._unit and y._unit):
-        return Fraction(0) if exact else 0.0
-    den = math.lcm(x.den, y.den)
-    sx, sy = den // x.den, den // y.den
-    zero = _VALUE_ZERO[x.backend]
+        return Fraction(0) if x.backend == RATIONAL else 0.0
+    return _max_diff(x.entries, x.den, y.entries, y.den, x.backend)
+
+
+def _max_diff(rows_x, den_x: int, rows_y, den_y: int, backend: str):
+    """Max |x - y| for x = rows_x / den_x and y = rows_y / den_y, as ``residual`` returns it."""
+    den = math.lcm(den_x, den_y)
+    sx, sy = den // den_x, den // den_y
+    zero = _VALUE_ZERO[backend]
     worst = 0
-    for rx, ry in zip(x.entries, y.entries):
+    for rx, ry in zip(rows_x, rows_y):
         if sx == sy and rx == ry:
             continue
         diff = dict(rx) if sx == 1 else {j: sx * v for j, v in rx}
-        for j, w in ry:
-            diff[j] = diff.get(j, zero) - (w if sy == 1 else sy * w)
-        worst = max(worst, max(map(abs, diff.values()), default=0))
-    return Fraction(worst, den) if exact else float(worst)
-
-
-def _chain_residual(xs: tuple, ys: tuple):
-    """``residual`` of the products of two tuples of operators."""
-    if not xs or not ys:
-        raise ShapeMismatchError("an empty tuple names no operator product")
-    for chain in (xs, ys):  # the checks, in the order `x0 @ x1 @ ...` makes them
-        for op in chain[1:]:
-            _check_same_space(chain[0], op)
-    _check_same_space(xs[0], ys[0])
-    if xs[0].backend != RATIONAL:
-        return residual(reduce(matmul, xs), reduce(matmul, ys))
-    unit = [identity(xs[0].site_dim, xs[0].legs)]
-    xs = [op for op in xs if not op._unit] or unit
-    ys = [op for op in ys if not op._unit] or unit
-    if len(xs) == len(ys) and all(map(is_, xs, ys)):
-        return Fraction(0)
-    if len(xs) == 1 == len(ys):
-        return residual(xs[0], ys[0])
-    dx, dy = math.prod([op.den for op in xs]), math.prod([op.den for op in ys])
-    den = math.lcm(dx, dy)
-    sx, sy = den // dx, den // dy
-    first_x, *rest_x = [op.entries for op in xs]
-    first_y, *rest_y = [op.entries for op in ys]
-    side = xs[0].side
-    worst = 0
-    for i in range(side):
-        row_x = _row_product(first_x[i], rest_x, side)
-        row_y = _row_product(first_y[i], rest_y, side)
-        diff = dict(row_x) if sx == 1 else {j: sx * v for j, v in row_x}
         get = diff.get
-        for j, w in row_y:
-            diff[j] = get(j, 0) - (w if sy == 1 else sy * w)
+        for j, w in ry:
+            diff[j] = get(j, zero) - (w if sy == 1 else sy * w)
         worst = max(worst, max(map(abs, diff.values()), default=0))
-    return Fraction(worst, den)
-
-
-def _row_product(row, factors: list, side: int):
-    """(column, value) pairs of the integer row ``row @ F1 @ F2 ...``, in any order.
-
-    `row` is a stored row and each ``F`` is the stored rows of a factor.
-    Each step takes the row rule of ``@``; the result is neither sorted
-    nor divided by a common factor, and may hold zeros.
-    """
-    for right in factors:
-        n = len(row)
-        if n == 1:  # a scaled copy of one row of the factor
-            (k, a), = row
-            row = right[k] if a == 1 else [(j, a * b) for j, b in right[k]]
-        elif n * 4 >= side:  # dense enough to sum in a list
-            sums = [0] * side
-            for k, a in row:
-                for j, b in right[k]:
-                    sums[j] += a * b
-            row = [kv for kv in enumerate(sums) if kv[1]]
-        else:
-            acc: dict = {}
-            get = acc.get
-            for k, a in row:
-                for j, b in right[k]:
-                    acc[j] = get(j, 0) + a * b
-            row = acc.items()
-    return row
+    return Fraction(worst, den) if backend == RATIONAL else float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every function embeds its operators in the full tensor space and returns
 the worst entry of the difference of the two sides of the identity, so a
 zero is an unconditional certificate on the rational backend.  Each side
 is handed to ``residual`` as a tuple of factors: on the rational backend
-the products are compared row by row and never built.
+the products are compared unsorted and never stored.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ def _require_legs(x: Operator, legs: int, name: str):
 
 
 def ybe_residual(r: Operator):
-    """Residual of R12 R13 R23 - R23 R13 R12 on three legs."""
-    _require_legs(r, 2, "r")
-    r12 = embed(r, [1, 2], 3)
-    r13 = embed(r, [1, 3], 3)
-    r23 = embed(r, [2, 3], 3)
-    return residual((r12, r13, r23), (r23, r13, r12))
+    """Residual of R12 R13 R23 - R23 R13 R12 on three legs: the RTT residual with T = R."""
+    return rtt_residual(r, r)
 
 
 def braid_matrix(r: Operator) -> Operator:

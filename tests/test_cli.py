@@ -169,6 +169,24 @@ def test_te1_with_component_file(capsys, tmp_path):
     assert code == 0 and report["residuals"]["te1"] == "0"
 
 
+@pytest.mark.parametrize("m, n, k", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_te1_below_two_legs_agrees_on_catalog_and_component_file(capsys, tmp_path, m, n, k):
+    from ybt import f_components_from_omega, omega_split_B
+    from ybt.formats import components_to_obj
+
+    omegas = {2: omega_split_B(catalog.get("jordanian").twist.f, 2)}
+    path = tmp_path / "components.json"
+    path.write_text(pretty_dumps(components_to_obj({(1, 1): f_components_from_omega(omegas, 1, 1)})))
+    # under a cap of one leg, the catalog route still builds the 2-leg F^{1,1}
+    for cap in ("6", "1"):
+        got = [run_json(capsys, "te1", ref, "-m", m, "-n", n, "-k", k, "--max-legs", cap)
+               for ref in ("catalog:jordanian", path)]
+        (code, report, _), (file_code, file_report, _) = got
+        assert code == file_code == 0
+        assert report["residuals"] == file_report["residuals"] == {"te1": "0"}
+        assert report["verdict"] is file_report["verdict"] is True
+
+
 def test_te1_refuses_legs_over_the_cap(capsys):
     # 7 legs against the default cap of 6
     code, out, err = run(capsys, "te1", "catalog:jordanian", "-m", 3, "-n", 2, "-k", 2)

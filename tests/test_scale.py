@@ -58,8 +58,10 @@ def test_eight_leg_mixed_ybe_of_a_corrupted_r_is_nonzero():
     rows = [list(row) for row in catalog.get("six_vertex").r.rows]
     rows[0][1] += 1
     fused = fused_blocks(Operator.from_rows(2, 2, rows))
-    res = mixed_ybe_residual(fused[(3, 3)], fused[(3, 2)], fused[(3, 2)], 3, 3, 2)
-    assert res > 0
+    want = [Fraction(1188722821, 36864), Fraction(190523165, 6144), Fraction(3656007125, 73728)]
+    got = [mixed_ybe_residual(fused[(m, n)], fused[(m, k)], fused[(n, k)], m, n, k)
+           for m, n, k in BLOCKS]
+    assert got == want
 
 
 def block_swap_rows(site_dim, m, n):
