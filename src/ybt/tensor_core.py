@@ -42,9 +42,10 @@ sparse elimination (``_eliminate``), optionally followed by one reduced
 echelon pass (``_back_substitute``); so do solves ``a^-1 b`` and inverses
 when `a` is sparse.  When `a` is at least a quarter full (the row rule of
 ``@``, applied to the whole matrix) they take one dense forward Bareiss
-pass (``_bareiss``, Bareiss 1968) and exact back substitution.  Both
-routes give the same stored form.  Determinants always take the Bareiss
-pass: the last pivot, signed by the row swaps.
+pass (``_bareiss``, Bareiss 1968) and back substitution on rows packed
+one per int, column j in an s-bit slot, s = Hadamard's bound on the rows
+plus a sign bit, which every value kept fits.  Both routes give the same
+stored form.  Determinants take the packed pass, signed by its swaps.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from operator import attrgetter, is_, matmul
+from operator import attrgetter, is_, matmul, mul
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
 
@@ -731,66 +732,67 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
 def _is_dense(x: Operator) -> bool:
     """At least a quarter full: the row rule of ``@``, over the whole matrix.
 
-    Measured on random invertible matrices, the dense solve overtakes the
-    sparse one at 35-40% fill for side 8, 30% for 16, 20-25% for 27 and
-    10-20% for 64; a quarter is the crossover near side 27.
+    Measured on random invertible matrices (inverses), the packed dense
+    solve overtakes the sparse one at 25-30% fill for side 8, 10-15% for
+    16 and 27 and 5-10% for 64; a quarter is the crossover near side 8.
     """
     return sum(map(len, x.entries)) * 4 >= x.side**2
 
 
-def _bareiss(m: list[list[int]], side: int) -> int:
-    """Fraction-free forward elimination of the first `side` columns, in place.
+def _bareiss(rows) -> tuple[int, list[int], list[int], int]:
+    """Fraction-free forward elimination of integer rows packed one per int.
 
-    Below each pivot p_k, Bareiss's rule (p_k x - f y) // p_{k-1} divides
-    exactly; rows are swapped when the diagonal is zero.  Entries left of
-    the diagonal are left stale, so row i is read from column i on.  The
-    last pivot is then the determinant of the swapped rows.  Returns the
-    sign of the row swaps, or 0, part-way, when a column has no pivot.
+    Row i ((column, value) pairs) becomes sum_j v_ij 2^(s j), s = `slot`
+    the bit length of Hadamard's bound on the rows (a zero row counting 1)
+    plus a sign bit.  Step k sets each row x below row k to (p_k x - f
+    row_k) // p_{k-1}, p_k and f read off slot 0, which is then shifted
+    off: exact, as every slot divides, and every slot a minor, within the
+    bound.  Rows swap on a zero slot 0; row k keeps its entries from the
+    diagonal on.  Returns the sign of the swaps (0 once a column has no
+    pivot), the divisors [1, p_0, ...], the rows and `slot`.
     """
-    prev = sign = 1
+    slot = math.isqrt(math.prod([sum([v * v for _, v in row]) or 1 for row in rows]))
+    slot = slot.bit_length() + 1
+    mask, half, side, sign, pivots = (1 << slot) - 1, 1 << (slot - 1), len(rows), 1, [1]
+    rows = [sum([v << slot * j for j, v in row]) for row in rows]
     for k in range(side):
-        if not m[k][k]:
-            i = next((i for i in range(k + 1, side) if m[i][k]), None)
+        if not rows[k] & mask:
+            i = next((i for i in range(k + 1, side) if rows[i] & mask), None)
             if i is None:
-                return 0
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-        p, tail = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    return sign
+                return 0, pivots, rows, slot
+            rows[k], rows[i], sign = rows[i], rows[k], -sign
+        top, prev = rows[k], pivots[-1]
+        p = ((top + half) & mask) - half
+        for i, x in enumerate(rows[k + 1:], k + 1):
+            f = ((x + half) & mask) - half
+            rows[i] = ((p * x - f * top) >> slot) // prev
+        pivots.append(p)
+    return sign, pivots, rows, slot
 
 
 def _solve_dense(a: Operator, b: Operator) -> Operator:
-    """a^-1 b by one forward Bareiss pass over [A | B] and exact back substitution.
+    """a^-1 b by one packed Bareiss pass over [A | B] and packed back substitution.
 
-    The pass leaves rows [U | C] with U upper triangular.  With d the last
-    pivot, X = d A^-1 B is an integer matrix whose row i is
-    (d c_i - sum_{j>i} u_ij X_j) // u_ii, solved from the bottom row up;
-    then a^-1 b = a.den X / (d b.den).
+    Row i of the pass is [U_i | C_i].  With d the last pivot, row i of X =
+    d A^-1 B is (d C_i - sum_{j>i} U_ij X_j) // U_ii, solved bottom up; its
+    slots are minors of [A | B], and only they and U are decoded.  Then
+    a^-1 b = a.den X / (d b.den).
     """
     side = a.side
-    m = [[0] * (2 * side) for _ in range(side)]
-    for row, arow, brow in zip(m, a.entries, b.entries):
-        for j, v in arow:
-            row[j] = v
-        for j, v in brow:
-            row[side + j] = v
-    if not _bareiss(m, side):
+    sign, pivots, rows, slot = _bareiss([arow + tuple([(side + j, v) for j, v in brow])
+                                         for arow, brow in zip(a.entries, b.entries)])
+    if not sign:
         raise SingularOperatorError(side, _rank(a))
-    d = m[-1][side - 1]
-    solved = [None] * side
+    mask, half, d = (1 << slot) - 1, 1 << (slot - 1), pivots[-1]
+    bias = ((1 << slot * side) - 1) // mask * half  # no slot of x + bias borrows from the next
+    solved = []  # packed rows of X, bottom up
     for i in reversed(range(side)):
-        row = m[i]
-        acc = [d * v for v in row[side:]]
-        for j in range(i + 1, side):
-            if row[j]:
-                acc = [s - row[j] * x for s, x in zip(acc, solved[j])]
-        solved[i] = [s // row[i] for s in acc]
-    num = a.den if d > 0 else -a.den
-    rows = [tuple([(j, num * v) for j, v in enumerate(x) if v]) for x in solved]
+        x, low = rows[i] + (bias >> slot * i), slot * (side - i)
+        u = [((x >> t) & mask) - half for t in range(slot, low, slot)]
+        solved.append((d * (x >> low) - sum(map(mul, u, reversed(solved)))) // pivots[i + 1])
+    num, shifts = (a.den if d > 0 else -a.den), range(0, slot * side, slot)
+    rows = [tuple([(j, num * v) for j, t in enumerate(shifts) if (v := ((x >> t) & mask) - half)])
+            for x in map(bias.__add__, reversed(solved))]
     return _finish(a.site_dim, a.legs, RATIONAL, abs(d) * b.den, rows)
 
 
@@ -846,10 +848,10 @@ def solve(a: Operator, b: Operator) -> Operator:
     On the rational backend the result is exact, and equal to
     ``invert(a) @ b``; on the complex backend it is that product.  A
     rational `a` at least a quarter full (the density rule of ``@``) takes
-    one forward Bareiss pass and exact back substitution; a sparser one
-    takes ``_eliminate`` and ``_back_substitute``.  Both give the same
-    stored form.  Raises :class:`SingularOperatorError` carrying the rank
-    of `a`.
+    a Bareiss pass on the rows of [A | B] packed one per int, in slots of
+    Hadamard's bound plus a sign bit; a sparser one takes ``_eliminate``
+    and ``_back_substitute``.  Both give the same stored form.  Raises
+    :class:`SingularOperatorError` carrying the rank of `a`.
     """
     _check_same_space(a, b)
     if a._unit:
@@ -874,8 +876,9 @@ def invert(x: Operator) -> Operator:
 def determinant(x: Operator):
     """Exact determinant (rational) or partial-pivot LU determinant (complex).
 
-    On the rational backend the integer rows X = x.den * x take one dense
-    forward Bareiss pass (``_bareiss``): det x = sign * last pivot / den^side.
+    On the rational backend the integer rows X = x.den * x take one packed
+    forward Bareiss pass (``_bareiss``, slots of Hadamard's bound plus a
+    sign bit): det x = sign * last pivot / den^side.
     """
     side = x.side
     if x.backend == COMPLEX64:
@@ -895,8 +898,5 @@ def determinant(x: Operator):
                 if a:
                     m[i] = [v - a * w for v, w in zip(m[i], m[k])]
         return det
-    m = [[0] * side for _ in range(side)]
-    for row, xrow in zip(m, x.entries):
-        for j, v in xrow:
-            row[j] = v
-    return Fraction(_bareiss(m, side) * m[-1][-1], x.den**side)
+    sign, pivots, _, _ = _bareiss(x.entries)
+    return Fraction(sign * pivots[-1], x.den**side)

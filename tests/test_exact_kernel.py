@@ -1,17 +1,20 @@
 """The exact kernels against naive dense references.
 
-Determinants, the rank carried by SingularOperatorError and the null
-spaces behind r_symmetric_space and membership_coefficients come from one
-sparse fraction-free elimination; the null spaces first collapse their
-one- and two-term rows with a union-find.  Solves and inverses take that
-elimination, or a dense Bareiss pass when the matrix is at least a
-quarter full; the two routes are also checked against each other.  The
-reference below shares no code with either: plain Gauss-Jordan over
-Fraction, written for clarity only.  Solves a^-1 b are checked against
-the reduced form of [A | B].  The sparse operator kernels (products,
-sums, Kronecker products, leg permutations, embeddings, residuals) are
-checked on both backends against dense list arithmetic, and every way of
-building an operator must give the same stored form.
+The rank carried by SingularOperatorError and the null spaces behind
+r_symmetric_space and membership_coefficients come from one sparse
+fraction-free elimination; the null spaces first collapse their one- and
+two-term rows with a union-find.  Solves and inverses take that
+elimination, or a dense Bareiss pass on packed integer rows when the
+matrix is at least a quarter full, and determinants always take that
+pass; the two routes are also checked against each other, and Hadamard
+matrices, which meet the bound that sizes the packed slots, check that
+the slots have no bit to spare.  The reference below shares no code with
+either: plain Gauss-Jordan over Fraction, written for clarity only.
+Solves a^-1 b are checked against the reduced form of [A | B].  The
+sparse operator kernels (products, sums, Kronecker products, leg
+permutations, embeddings, residuals) are checked on both backends against
+dense list arithmetic, and every way of building an operator must give
+the same stored form.
 """
 
 from __future__ import annotations
@@ -317,6 +320,75 @@ def test_dense_and_sparse_routes_agree(system):
     assert dense == sparse
     if not isinstance(dense, Operator):
         assert dense == (side, _rank(a))
+
+
+def sylvester(order):
+    """The Sylvester Hadamard matrix of a power-of-two order, as int rows."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+def as_operator_on(legs, rows):
+    return Operator.from_rows(2, legs, rows)
+
+
+def hadamard_problems():
+    """What dense solves at Hadamard's bound get wrong against the reference.
+
+    A Hadamard matrix H of order n meets the bound: |det H| = n^(n/2), the
+    product of its row lengths, so the last pivot of the dense pass over H
+    or [H | I] needs every bit of the slot.  H, -H, H/3 and H with two rows
+    swapped give that pivot both signs.  A matrix whose last column has no
+    pivot must make solve and invert report its exact rank.  The checks
+    are plain comparisons, not asserts, so they hold under python -O too.
+    """
+    problems = []
+    for legs in (2, 3):
+        n = 2**legs
+        h = sylvester(n)
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        variants = {"H": h, "-H": [[-v for v in row] for row in h],
+                    "H/3": [[Fraction(v, 3) for v in row] for row in h],
+                    "H, rows 0 and 1 swapped": [h[1], h[0], *h[2:]]}
+        for name, rows in variants.items():
+            a = as_operator_on(legs, rows)
+            det = determinant(a)
+            if det != ref_det(rows):
+                problems.append(f"order {n}, {name}: determinant {det}")
+            if name != "H/3" and abs(det) != n ** (n // 2):
+                problems.append(f"order {n}, {name}: |det| {abs(det)} is not n^(n/2)")
+            for b_name, rhs in (("H", h), ("I", unit)):
+                reduced, _ = ref_rref([r + b for r, b in zip(rows, rhs)], 2 * n)
+                if solve(a, as_operator_on(legs, rhs)).rows != tuple(tuple(r[n:]) for r in reduced):
+                    problems.append(f"order {n}, {name}: solve with B = {b_name}")
+                if b_name == "I" and invert(a).rows != tuple(tuple(r[n:]) for r in reduced):
+                    problems.append(f"order {n}, {name}: invert")
+        singular = [row[:-1] + [row[0] + row[1]] for row in h]
+        rank = len(ref_rref(singular, n)[1])
+        for call in (lambda a: solve(a, as_operator_on(legs, h)), invert):
+            try:
+                call(as_operator_on(legs, singular))
+                problems.append(f"order {n}: a singular matrix was solved")
+            except SingularOperatorError as err:
+                if (err.side, err.rank) != (n, rank):
+                    problems.append(f"order {n}: rank {err.rank} reported, {rank} true")
+    return problems
+
+
+def test_hadamard_bound_is_met_exactly_under_optimized_python():
+    assert hadamard_problems() == []
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys\nsys.path[:0] = [{tests!r}]\n"
+        "import test_exact_kernel as t\n"
+        "problems = t.hadamard_problems()\n"
+        "print(problems)\n"
+        "raise SystemExit(1 if problems else 0)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, (done.stdout + done.stderr).decode()
 
 
 def complex_bits(x):
