@@ -81,16 +81,9 @@ def operator_to_obj(op: Operator) -> dict:
     ))
 
 
-def operator_from_obj(obj, where: str = "operator") -> Operator:
-    """Read an operator object, locating the first malformed part.
-
-    A rational operator is built straight into the stored form the
-    constructor would give, identities marked as units; a complex one goes
-    through the constructor.
-    """
-    if not isinstance(obj, dict):
-        raise FormatError(f"expected an object, got {type(obj).__name__}", where)
-    missing = {"scalar", "site_dim", "legs", "rows"} - obj.keys()
+def _space_from_obj(obj: dict, where: str, *more: str) -> tuple[int, int, str]:
+    """The checked ``site_dim``, ``legs`` and ``scalar`` of `obj`, which also needs keys `more`."""
+    missing = {"scalar", "site_dim", "legs", *more} - obj.keys()
     if missing:
         raise FormatError(f"missing keys {sorted(missing)}", where)
     backend = obj["scalar"]
@@ -101,6 +94,19 @@ def operator_from_obj(obj, where: str = "operator") -> Operator:
         raise FormatError("site_dim must be a positive integer", f"{where}.site_dim")
     if not isinstance(legs, int) or legs < 0:
         raise FormatError("legs must be a non-negative integer", f"{where}.legs")
+    return site_dim, legs, backend
+
+
+def operator_from_obj(obj, where: str = "operator") -> Operator:
+    """Read an operator object, locating the first malformed part.
+
+    A rational operator is built straight into the stored form the
+    constructor would give, identities marked as units; a complex one goes
+    through the constructor.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected an object, got {type(obj).__name__}", where)
+    site_dim, legs, backend = _space_from_obj(obj, where, "rows")
     side = site_dim**legs
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != side:
@@ -171,11 +177,13 @@ def subspace_to_obj(basis) -> dict:
     """The file form of `basis`, written from the exact vectors of its elements.
 
     Each element comes out as `operator_to_obj` writes its operator, so a
-    solver basis is written without building its operators.
+    solver basis is written without building its operators.  An empty
+    basis has no element to fix its shape, so it is written with the
+    ``scalar``, ``site_dim`` and ``legs`` keys of an operator file.
     """
     side = basis.site_dim**basis.legs
     value = _file_value(basis.backend, {v for vec in basis.vectors for v in vec.values()})
-    return {
+    obj = {
         "dimension": basis.dimension,
         "basis": [
             _file_form(basis.site_dim, basis.legs, basis.backend, (
@@ -184,9 +192,13 @@ def subspace_to_obj(basis) -> dict:
             for vec in basis.vectors
         ],
     }
+    if not basis.dimension:
+        obj.update(scalar=basis.backend, site_dim=basis.site_dim, legs=basis.legs)
+    return obj
 
 
 def subspace_from_obj(obj, where: str = "subspace"):
+    """Read a subspace object; an empty basis takes its shape from its own keys."""
     from .subspace_solver import SubspaceBasis
 
     if not isinstance(obj, dict) or {"dimension", "basis"} - obj.keys():
@@ -194,12 +206,12 @@ def subspace_from_obj(obj, where: str = "subspace"):
     ops = tuple(
         operator_from_obj(o, f"{where}.basis[{i}]") for i, o in enumerate(obj["basis"])
     )
-    if not ops:
-        raise FormatError("basis must be non-empty to fix the shape", where)
     if obj["dimension"] != len(ops):
         raise FormatError(
             f'dimension {obj["dimension"]} does not match basis size {len(ops)}', where
         )
+    if not ops:
+        return SubspaceBasis(*_space_from_obj(obj, where), ())
     first = ops[0]
     return SubspaceBasis(first.site_dim, first.legs, first.backend, ops)
 

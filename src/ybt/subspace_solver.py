@@ -5,16 +5,16 @@ row-major.  They are sparse integer rows built once from the two-leg
 block: the rows of D (b Z - Z bt) over the d^4 local unknowns are read off
 the stored entries of the two braid matrices (D their common denominator),
 and one row is kept of each set of rows equal up to a nonzero scale.  One
-pass of the shared integer kernel then picks a maximal independent subset
-of these local rows, sparsest first, and writes each other local row as an
-exact integer combination of the picked ones, checked entry by entry.  A
-shift to a position and environment adds one offset to every key, so each
-picked row is solved as a group: its terms at one position and the list
-of that position's environment offsets; no shifted row is built.  A
-weighted union-find collapses the one- and two-term rows straight from
-the groups; the longer rows, rewritten over the component roots, go to
-the integer elimination kernel of ``tensor_core``.  Every basis element
-is re-verified by substitution into every row of every group.  A shifted
+tagged pass of ``exact`` (``_tagged``) then picks a maximal independent
+subset of these local rows, sparsest first, and writes each other local
+row as an exact integer combination of the picked ones, checked entry by
+entry.  A shift to a position and environment adds one offset to every
+key, so each picked row is solved as a group: its terms at one position
+and the list of that position's environment offsets; no shifted row is
+built.  A weighted union-find collapses the one- and two-term rows
+straight from the groups; the longer rows, rewritten over the component
+roots, go to ``exact._echelon_kernel``.  Every basis element is
+re-verified by substitution into every row of every group.  A shifted
 dropped row is the same combination of the picked rows' copies, so every
 distinct row is verified.
 A solved basis is stored as its sparse integer kernel vectors alone; its
@@ -24,11 +24,10 @@ on the vectors.  Membership reads each coefficient off a cached reduced
 echelon form of the basis (a solver basis already is one) and then checks
 the combination exactly.  Deciding whether a computed subspace holds an
 invertible element is done by a seeded randomized search with an explicit
-budget.  Each attempt is decided modulo a prime with an exact witness
-either way: full rank mod p proves a nonzero determinant, and a kernel
-vector mod p that the exact rows annihilate proves a zero one; only when
-neither holds does the exact integer rank decide.  The answers are those
-of an exact rank.  A miss is evidence, never a proof of non-existence.
+budget.  Each attempt is decided by ``exact._full_rank_mod_p``, which
+gives an exact witness either way, or else by the exact integer rank, so
+the answers are those of an exact rank.  A miss is evidence, never a
+proof of non-existence.
 """
 
 from __future__ import annotations
@@ -39,15 +38,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatchError, ShapeMismatchError, SizeCapError, YbtError
+from .exact import _echelon_kernel, _full_rank_mod_p, _normalised, _tagged
 from .tensor_core import (
     Operator,
     RATIONAL,
     Record,
     Scalar,
-    _back_substitute,
-    _eliminate,
     _from_flat,
-    _normalised,
     _placement,
     _rank,
     _to_flat,
@@ -114,10 +111,8 @@ class SubspaceBasis(Record):
         if self._reduced:  # a solver basis: integer vectors, den 1
             return 1, list(self.vectors)
         den = math.lcm(*(op.den for op in self.basis))
-        return den, [
-            v if den == 1 else {k: x.numerator * (den // x.denominator) for k, x in v.items()}
-            for v in self.vectors
-        ]
+        return den, [{k: v * (den // op.den) for k, v in _to_flat(op).items()}
+                     for op in self.basis]
 
     @cached_property
     def echelon(self) -> tuple[int, dict[int, tuple[dict[int, int], dict[int, int]]]]:
@@ -132,30 +127,21 @@ class SubspaceBasis(Record):
         form by construction (`_kernel_basis` gives each vector its own free
         column, its last nonzero), so its rows are its vectors, unchecked;
         `membership_coefficients` still checks every combination exactly.
-        Any other basis is reduced once, on first use, by the shared
-        integer kernel on the rows of ``[V | I]``, with the columns in
-        descending order so that each pivot is a last nonzero.
+        Any other basis is reduced once, on first use, by `_tagged` with
+        ``reduce``, its columns in descending order of entry index so that
+        each pivot is a last nonzero.
         """
         if self._reduced:
             return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
-        d = self.dimension
-        if d:
+        if self.dimension:
             _require_exact(self, "echelon")
         den, ints = self._integer_vectors()
-        # identity column i is key -1 - i, entry k is key -1 - d - k: the
-        # kernel pivots at the lowest key, so at the last nonzero entry
-        rows = []
-        for i, v in enumerate(ints):
-            row = {-1 - d - k: x for k, x in v.items()}
-            row[-1 - i] = 1
-            rows.append(row)
-        echelon = {}
-        for c, row in _back_substitute(_eliminate(rows)).items():
-            if c < -d:
-                r = {-1 - d - j: x for j, x in row.items() if j < -d}
-                w = {-1 - j: x for j, x in row.items() if j >= -d}
-                echelon[-1 - d - c] = (r, w)
-        return den, echelon
+        # entry k is column top - k: `_tagged` pivots at the lowest column,
+        # so at the last nonzero entry
+        top = self.site_dim ** (2 * self.legs) - 1
+        pivots, _ = _tagged([{top - k: x for k, x in v.items()} for v in ints], top + 1, True)
+        return den, {top - c: ({top - j: x for j, x in r.items()}, w)
+                     for c, (r, w) in pivots.items()}
 
     def is_independent(self) -> bool:
         """Exact rank check: dimension equals the number of echelon pivots."""
@@ -163,7 +149,7 @@ class SubspaceBasis(Record):
 
 
 # ---------------------------------------------------------------------------
-# exact null spaces over the shared integer elimination kernel
+# exact null spaces over the integer passes of ``exact``
 # ---------------------------------------------------------------------------
 
 
@@ -240,33 +226,6 @@ def _collapse(groups, num_vars: int):
         if parent[r] != r:
             find(i)
     return parent, num, den, dead, longer
-
-
-def _echelon_kernel(rows: list[dict[int, int]], columns) -> list[dict[int, int]]:
-    """Kernel of integer rows over `columns` (ascending): one vector per free column.
-
-    Each vector has its last nonzero at its free column and a zero in
-    every other free column; entries are integers, not yet content-free.
-    """
-    reduced = _back_substitute(_eliminate(sorted(rows, key=len)))
-    # a reduced row reads p x_c + sum(v x_f) = 0 over free columns f
-    free_cols: dict[int, list[tuple[int, int, int]]] = {}
-    for c, row in reduced.items():
-        p = row[c]
-        for f, v in row.items():
-            if f != c:
-                free_cols.setdefault(f, []).append((c, v, p))
-    vectors = []
-    for f in columns:
-        if f in reduced:
-            continue
-        terms = free_cols.get(f, ())
-        scale = math.lcm(*(p // math.gcd(p, v) for _, v, p in terms))
-        vec = {f: scale}
-        for c, v, p in terms:
-            vec[c] = -v * scale // p
-        vectors.append(vec)
-    return vectors
 
 
 def _kernel_basis(groups, num_vars: int) -> list[dict[int, int]]:
@@ -409,34 +368,22 @@ def _local_rows(r: Operator, r_tilde: Operator) -> list[tuple[tuple[int, int], .
 def _independent_rows(local: list[tuple[tuple[int, int], ...]], width: int):
     """Split local rows into a maximal independent subset and exact combinations.
 
-    The rows go sparsest first through one pass of the shared integer
-    kernel (`_eliminate`), each tagged with an identity column after the
-    ``width`` local keys, so that the tags record the combination behind
-    every reduced row.  The tags count down in feed order, so a row's own
-    tag is the lowest one it carries.  A row that leaves a local key is
-    kept and becomes a pivot there; a row that reduces to tags alone
-    becomes the pivot of its own tag, and reads ``t0 * row + sum(t_j *
-    row_j) = 0`` over kept rows only, with t0 != 0.  Returns ``(kept,
-    dropped)``: ``kept`` lists the kept rows in their order in `local`, and
-    each entry of ``dropped`` is ``(row, w0, w)`` with ``w0 * row ==
-    sum(w[i] * kept[i])``, which `_check_dependencies` verifies.
+    The rows go sparsest first through `_tagged` over the ``width`` local
+    keys.  A row that adds a pivot is kept; every other row comes back
+    with its relation ``t0 * row + sum(t_j * row_j) = 0`` over kept rows
+    only, t0 != 0.  Returns ``(kept, dropped)``: ``kept`` lists the kept
+    rows in their order in `local`, and each entry of ``dropped`` is
+    ``(row, w0, w)`` with ``w0 * row == sum(w[i] * kept[i])``, which
+    `_check_dependencies` verifies.
     """
     order = sorted(range(len(local)), key=lambda i: len(local[i]))
-    top = width + len(local)
-    tag = {i: top - pos for pos, i in enumerate(order)}
-    tagged = [dict(local[i]) | {tag[i]: 1} for i in order]
-    relations = {order[top - c]: row for c, row in _eliminate(tagged).items() if c >= width}
-    at = {}
-    kept = []
-    for i, row in enumerate(local):
-        if i not in relations:
-            at[tag[i]] = len(kept)
-            kept.append(row)
-    dropped = []
-    for i, rel in relations.items():
-        w0 = rel.pop(tag[i])
-        dropped.append((local[i], w0, {at[t]: -v for t, v in rel.items()}))
-    return kept, dropped
+    _, relations = _tagged([dict(local[i]) for i in order], width)
+    spanned = {order[p]: {order[j]: v for j, v in w.items()} for p, w in relations.items()}
+    kept = [i for i in range(len(local)) if i not in spanned]
+    at = {i: k for k, i in enumerate(kept)}
+    dropped = [(local[i], w[i], {at[j]: -v for j, v in w.items() if j != i})
+               for i, w in spanned.items()]
+    return [local[i] for i in kept], dropped
 
 
 def _check_dependencies(kept, dropped):
@@ -480,17 +427,13 @@ def _shifted_groups(local: list[tuple[tuple[int, int], ...]], site_dim: int, n: 
     return groups
 
 
-def _check_cap(site_dim: int, n: int, size_cap: int):
-    if site_dim**n > size_cap:
+def _solve_pairs(r: Operator, r_tilde: Operator, n: int, size_cap: int) -> SubspaceBasis:
+    d = r.site_dim
+    if d**n > size_cap:
         raise SizeCapError(
-            f"operators on {n} legs have side {site_dim ** n}, above the cap "
+            f"operators on {n} legs have side {d ** n}, above the cap "
             f"{size_cap}; raise size_cap explicitly to proceed"
         )
-
-
-def _solve_pairs(r: Operator, r_tilde: Operator, n: int, size_cap: int) -> SubspaceBasis:
-    _check_cap(r.site_dim, n, size_cap)
-    d = r.site_dim
     # the dropped rows are certified at the two-leg level, so only the
     # kept ones are shifted, solved and re-verified against the basis
     kept, dropped = _independent_rows(_local_rows(r, r_tilde), d**4)
@@ -607,55 +550,10 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     return tuple(Fraction(c * den, scale * op.den) for c in coeffs)
 
 
-#: The prime of `_invertible`.  It lies below 2**30, so a product of two
-#: residues stays under 2**60: two 30-bit digits of a CPython int.
-_PRIME = 1_000_000_007
-
-
 def _invertible(x: Operator) -> bool:
-    """Whether a rational operator is invertible: decided mod `_PRIME`, proved exactly.
-
-    Forward elimination of the integer rows modulo p reduces each row on
-    its tail only (the columns from the pivot on).  Rows independent mod p
-    are independent over Q, so a pivot in every column proves det != 0.
-    At the first column c without a pivot, the echelon rows give a kernel
-    vector mod p that is 1 at c and 0 past it; lifted to symmetric
-    residues, it proves x singular when the exact integer rows annihilate
-    it.  Only when that lift fails does the exact `_rank` decide, so the
-    answer is always the exact one.
-    """
-    p, side = _PRIME, x.side
-    rest = []
-    for nonzero in x.entries:
-        row = [0] * side
-        for j, v in nonzero:
-            row[j] = v % p
-        rest.append(row)
-    tails = []  # tails[c]: the pivot row of column c from c on, pivot 1
-    for c in range(side):
-        k = next((i for i, row in enumerate(rest) if row[c]), None)
-        if k is None:
-            break
-        row = rest.pop(k)
-        inv = pow(row[c], -1, p)
-        tail = [v * inv % p for v in row[c:]]
-        tails.append(tail)
-        for row in rest:
-            f = row[c]
-            if f:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
-    else:
-        return True
-    # every column before c has a pivot, and no remaining row is nonzero
-    # at c or before: back substitution from v[c] = 1 solves all rows mod p
-    v = [0] * c + [1]
-    for i in range(c - 1, -1, -1):
-        v[i] = -sum(a * b for a, b in zip(tails[i][1:], v[i + 1 :])) % p
-    half = p // 2
-    v = [a - p if a > half else a for a in v]
-    if all(sum(val * v[j] for j, val in nonzero if j <= c) == 0 for nonzero in x.entries):
-        return False
-    return _rank(x) == side
+    """Whether a rational operator is invertible: `_full_rank_mod_p`, else the exact `_rank`."""
+    verdict = _full_rank_mod_p(x.entries)
+    return _rank(x) == x.side if verdict is None else verdict
 
 
 def invertible_certificate(
@@ -665,12 +563,10 @@ def invertible_certificate(
 
     The first attempt is the all-ones combination, later ones draw integer
     coefficients from [-9, 9], widening the range every ten attempts.  An
-    attempt's integer rows are eliminated modulo a prime below 2**30
-    (`_invertible`): full rank there proves a nonzero determinant, and a
-    kernel vector there, lifted to integers and checked against the exact
-    rows, proves a zero one.  Only when that lift fails does the exact
-    fraction-free rank decide, so each attempt, and with it every answer,
-    is exactly what a rank over Q gives.  A returned certificate is exact;
+    attempt is decided by `_invertible`: modulo a prime below 2**30, with
+    an exact witness either way, or else by the exact fraction-free rank,
+    so each attempt, and with it every answer, is exactly what a rank over
+    Q gives.  A returned certificate is exact;
     a miss is explicitly not a proof that no invertible element exists.
     """
     if budget < 1:

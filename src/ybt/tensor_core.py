@@ -35,17 +35,13 @@ compares the unsorted rows in the loop that compares two operators, so a
 check pays for the arithmetic of the products but not for their stored
 form.
 
-Exact linear algebra on the rational backend rests on two integer
-kernels.  Ranks, the null spaces of ``subspace_solver`` and the solver's
-choice of independent rows come from fraction-free, content-stripped
-sparse elimination (``_eliminate``), optionally followed by one reduced
-echelon pass (``_back_substitute``); so do solves ``a^-1 b`` and inverses
-when `a` is sparse.  When `a` is at least a quarter full (the row rule of
-``@``, applied to the whole matrix) they take one dense forward Bareiss
-pass (``_bareiss``, Bareiss 1968) and back substitution on rows packed
-one per int, column j in an s-bit slot, s = Hadamard's bound on the rows
-plus a sign bit, which every value kept fits.  Both routes give the same
-stored form.  Determinants take the packed pass, signed by its swaps.
+Exact linear algebra on the rational backend runs the integer passes of
+``exact`` on the stored rows.  Ranks take ``_eliminate``.  Solves ``a^-1
+b`` and inverses take ``_eliminate`` and ``_back_substitute`` on the rows
+of [A | B], or, when `a` is at least a quarter full (the row rule of
+``@``, applied to the whole matrix), the packed ``_bareiss`` pass and back
+substitution on its packed rows.  Both routes give the same stored form.
+Determinants take ``_bareiss``, signed by its swaps.
 
 Subscript convention, pinned once for the whole package: the operator
 X_{s1 s2 ...} places tensor factor k on leg s_k; as a matrix this is
@@ -63,6 +59,7 @@ from functools import cache, cached_property, reduce
 from operator import attrgetter, is_, matmul, mul
 
 from .errors import BackendMismatchError, ShapeMismatchError, SingularOperatorError
+from .exact import _back_substitute, _bareiss, _eliminate
 
 RATIONAL = "rational"
 COMPLEX64 = "complex64"
@@ -638,95 +635,13 @@ def _max_diff(rows_x, den_x: int, rows_y, den_y: int, backend: str):
 
 
 # ---------------------------------------------------------------------------
-# exact integer elimination; solves, inverses and determinants
+# ranks, solves, inverses and determinants over the passes of ``exact``
 # ---------------------------------------------------------------------------
-
-
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide a sparse integer row by the gcd of its entries."""
-    g = math.gcd(*row.values())
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
-
-
-def _normalised(row: dict[int, int]) -> dict[int, int]:
-    """`_primitive` of a nonzero sparse integer row, signed so its lowest column is positive."""
-    row = _primitive(row)
-    return {j: -v for j, v in row.items()} if row[min(row)] < 0 else row
-
-
-#: Bits of row scaling that `_eliminate` lets a row gather before it strips
-#: the row's content; measured on inverses and on dense certificate ranks.
-_STRIP_BITS = 256
-
-
-def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Online fraction-free forward elimination of sparse integer rows.
-
-    Returns pivot column -> content-free row whose lowest column is the
-    pivot.  Every row operation is p*row - a*pivot_row with p and a divided
-    by their gcd, so no inexact division can occur.  A row's content is
-    stripped when it becomes a pivot row, and before that only once the
-    factors |p| it was scaled by pass ``_STRIP_BITS`` bits: stripping
-    divides by a positive factor, so the pivot rows do not depend on when
-    it happens, only the size of the integers on the way does.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        grown = 0
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _primitive(row)
-                break
-            p, a = piv[c], row[c]
-            g = math.gcd(p, a)
-            if g > 1:
-                p, a = p // g, a // g
-            new: dict[int, int] = {}
-            for j, v in row.items():
-                w = p * v - a * piv.get(j, 0)
-                if w:
-                    new[j] = w
-            for j, v in piv.items():
-                if j not in row:
-                    new[j] = -a * v
-            grown += abs(p).bit_length() - 1
-            if grown > _STRIP_BITS and new:
-                new, grown = _primitive(new), 0
-            row = new
-    return pivots
 
 
 def _rank(x: Operator) -> int:
     """Exact rank of a rational operator: the pivots of its integer rows, sparsest first."""
     return len(_eliminate(sorted(map(dict, x.entries), key=len)))
-
-
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Reduced echelon form of `_eliminate` output, still content-free integers.
-
-    Each returned row keeps its pivot and has a zero in every other pivot
-    column; its remaining entries lie in non-pivot columns.
-    """
-    reduced: dict[int, dict[int, int]] = {}
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        hits = [j for j in row if j != c and j in pivots]
-        if hits:
-            lcm = math.lcm(*(reduced[j][j] for j in hits))
-            new = {j: v * lcm for j, v in row.items() if j == c or j not in pivots}
-            for j in hits:
-                red = reduced[j]
-                f = row[j] * (lcm // red[j])
-                for k, w in red.items():
-                    if k != j:
-                        new[k] = new.get(k, 0) - f * w
-            row = _primitive({k: v for k, v in new.items() if v})
-        reduced[c] = row
-    return reduced
 
 
 def _is_dense(x: Operator) -> bool:
@@ -737,37 +652,6 @@ def _is_dense(x: Operator) -> bool:
     16 and 27 and 5-10% for 64; a quarter is the crossover near side 8.
     """
     return sum(map(len, x.entries)) * 4 >= x.side**2
-
-
-def _bareiss(rows) -> tuple[int, list[int], list[int], int]:
-    """Fraction-free forward elimination of integer rows packed one per int.
-
-    Row i ((column, value) pairs) becomes sum_j v_ij 2^(s j), s = `slot`
-    the bit length of Hadamard's bound on the rows (a zero row counting 1)
-    plus a sign bit.  Step k sets each row x below row k to (p_k x - f
-    row_k) // p_{k-1}, p_k and f read off slot 0, which is then shifted
-    off: exact, as every slot divides, and every slot a minor, within the
-    bound.  Rows swap on a zero slot 0; row k keeps its entries from the
-    diagonal on.  Returns the sign of the swaps (0 once a column has no
-    pivot), the divisors [1, p_0, ...], the rows and `slot`.
-    """
-    slot = math.isqrt(math.prod([sum([v * v for _, v in row]) or 1 for row in rows]))
-    slot = slot.bit_length() + 1
-    mask, half, side, sign, pivots = (1 << slot) - 1, 1 << (slot - 1), len(rows), 1, [1]
-    rows = [sum([v << slot * j for j, v in row]) for row in rows]
-    for k in range(side):
-        if not rows[k] & mask:
-            i = next((i for i in range(k + 1, side) if rows[i] & mask), None)
-            if i is None:
-                return 0, pivots, rows, slot
-            rows[k], rows[i], sign = rows[i], rows[k], -sign
-        top, prev = rows[k], pivots[-1]
-        p = ((top + half) & mask) - half
-        for i, x in enumerate(rows[k + 1:], k + 1):
-            f = ((x + half) & mask) - half
-            rows[i] = ((p * x - f * top) >> slot) // prev
-        pivots.append(p)
-    return sign, pivots, rows, slot
 
 
 def _solve_dense(a: Operator, b: Operator) -> Operator:
@@ -848,9 +732,9 @@ def solve(a: Operator, b: Operator) -> Operator:
     On the rational backend the result is exact, and equal to
     ``invert(a) @ b``; on the complex backend it is that product.  A
     rational `a` at least a quarter full (the density rule of ``@``) takes
-    a Bareiss pass on the rows of [A | B] packed one per int, in slots of
-    Hadamard's bound plus a sign bit; a sparser one takes ``_eliminate``
-    and ``_back_substitute``.  Both give the same stored form.  Raises
+    the packed ``_bareiss`` pass of ``exact`` on the rows of [A | B]; a
+    sparser one takes ``_eliminate`` and ``_back_substitute``.  Both give
+    the same stored form.  Raises
     :class:`SingularOperatorError` carrying the rank of `a`.
     """
     _check_same_space(a, b)
@@ -876,9 +760,8 @@ def invert(x: Operator) -> Operator:
 def determinant(x: Operator):
     """Exact determinant (rational) or partial-pivot LU determinant (complex).
 
-    On the rational backend the integer rows X = x.den * x take one packed
-    forward Bareiss pass (``_bareiss``, slots of Hadamard's bound plus a
-    sign bit): det x = sign * last pivot / den^side.
+    On the rational backend the integer rows X = x.den * x take the packed
+    ``_bareiss`` pass of ``exact``: det x = sign * last pivot / den^side.
     """
     side = x.side
     if x.backend == COMPLEX64:

@@ -11,7 +11,9 @@ from jsonschema import Draft202012Validator
 
 from ybt import cli, factorized, fusion, subspace_solver
 from ybt.cli import dispatch
-from ybt.formats import load_operator, operator_to_obj, pretty_dumps, save_operator
+from ybt.formats import (
+    load_json, load_operator, operator_to_obj, pretty_dumps, save_operator, subspace_from_obj,
+)
 from ybt import Operator, apply_twist, catalog, fuse_r, identity
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ybt" / "data" / "report.schema.json"
@@ -121,6 +123,16 @@ def test_intertwine_no_certificate_exits_one(capsys):
     assert report["verdict"] is False
     assert report["outputs"]["dimension"] == 12
     assert any("no invertible certificate" in note for note in report["notes"])
+
+
+def test_intertwine_writes_an_empty_space_that_reads_back(capsys, tmp_path):
+    out = tmp_path / "f.json"
+    code, report, _ = run_json(
+        capsys, "intertwine", "catalog:six_vertex", "catalog:perm", "-n", 2, "-o", out,
+    )
+    assert (code, report["outputs"]["dimension"]) == (1, 0)
+    back = subspace_from_obj(load_json(out))
+    assert (back.dimension, back.site_dim, back.legs) == (0, 2, 2)
 
 
 def test_intertwine_finds_certificate(capsys):

@@ -51,8 +51,8 @@ from ybt import (
 )
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
+from ybt.exact import _PRIME, _tagged
 from ybt.subspace_solver import (
-    _PRIME,
     _check_dependencies,
     _independent_rows,
     _invertible,
@@ -1417,6 +1417,26 @@ def integer_squares(draw, max_side=7):
 def test_modular_invertibility_decides_as_the_exact_rank(rows, den):
     x = Fraction(1, den) * as_operator(rows)
     assert _invertible(x) == (_rank(x) == x.side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_squares(), st.booleans())
+def test_tagged_pivots_and_relations_are_the_combinations_they_carry(rows, reduce):
+    width = len(rows)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots, relations = _tagged(sparse, width, reduce)
+
+    def combination(w):
+        return [sum(w.get(i, 0) * row[j] for i, row in enumerate(rows)) for j in range(width)]
+
+    assert sorted(pivots) == ref_rref(rows, width)[1]
+    assert len(pivots) + len(relations) == len(rows)
+    for c, (r, w) in pivots.items():
+        assert min(r) == c and combination(w) == [r.get(j, 0) for j in range(width)]
+        if reduce:
+            assert not any(r.get(other) for other in pivots if other != c)
+    for i, w in relations.items():
+        assert w[i] != 0 and max(w) == i and not any(combination(w))
 
 
 @pytest.mark.parametrize("rows, invertible", [

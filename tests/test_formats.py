@@ -181,6 +181,20 @@ def test_subspace_file_form_is_written_from_the_vectors(name):
     assert subspace_from_obj(obj) == basis
 
 
+def test_empty_subspace_carries_its_shape_and_reads_back():
+    six, perm = catalog.get("six_vertex").r, catalog.get("perm").r
+    obj = subspace_to_obj(intertwiner_space(six, perm, 2))
+    assert obj == {"basis": [], "dimension": 0, "legs": 2, "scalar": "rational", "site_dim": 2}
+    back = subspace_from_obj(json.loads(pretty_dumps(obj)))
+    assert (back.dimension, back.site_dim, back.legs, back.backend) == (0, 2, 2, RATIONAL)
+    # no element and no shape keys: nothing fixes the shape
+    with pytest.raises(FormatError):
+        subspace_from_obj({"basis": [], "dimension": 0})
+    with pytest.raises(FormatError) as err:
+        subspace_from_obj(dict(obj, site_dim=0))
+    assert err.value.where == "subspace.site_dim"
+
+
 @pytest.mark.parametrize("bad", ["1/0", "three halves", 1, ["1", "0"], None])
 def test_bad_entry_deep_in_a_subspace_is_located_exactly(bad):
     obj = subspace_to_obj(r_symmetric_space(identity(2, 2), 3))

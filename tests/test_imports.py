@@ -1,4 +1,4 @@
-"""Import footprint: ``import ybt`` and ``import ybt.cli`` load only what they use.
+"""Import footprint: ``import ybt``, ``ybt.exact`` and ``ybt.cli`` load only what they use.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported every layer.
@@ -39,6 +39,14 @@ def test_import_ybt_loads_no_submodule():
     )
     assert [m for m in loaded if m.startswith("ybt.")] == []
     assert "dataclasses" not in loaded
+
+
+def test_import_exact_loads_no_other_submodule():
+    loaded = fresh(
+        "import ybt.exact\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert [m for m in loaded if m == "ybt" or m.startswith("ybt.")] == ["ybt", "ybt.exact"]
 
 
 def test_import_cli_loads_only_the_shared_layers():
