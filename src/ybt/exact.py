@@ -18,8 +18,9 @@ without importing one.
   rows packed one per int, column j in an s-bit slot, s = the bit length
   of Hadamard's bound on the rows plus a sign bit, which every value kept
   fits.  Dense solves, inverses and every determinant take it.
-* ``_full_rank_mod_p``: dense forward elimination modulo ``_PRIME``, with
-  an exact witness for each verdict it gives.
+* ``_full_rank_mod_p``: dense forward elimination modulo ``_PRIME`` on
+  rows packed the same way, s = the bit length of side p**2 plus a sign
+  bit, with an exact witness for each verdict it gives.
 """
 
 from __future__ import annotations
@@ -194,40 +195,46 @@ def _bareiss(rows) -> tuple[int, list[int], list[int], int]:
     return sign, pivots, rows, slot
 
 
-#: The prime of `_full_rank_mod_p`.  It lies below 2**30, so a product of
-#: two residues stays under 2**60: two 30-bit digits of a CPython int.
+#: The prime of `_full_rank_mod_p`, below 2**30.  Residues sit in packed
+#: slots of bit length side * p**2 plus a sign bit, 68 bits at side 81.
 _PRIME = 1_000_000_007
 
 
 def _full_rank_mod_p(rows) -> bool | None:
     """Whether square stored integer rows are independent, decided mod `_PRIME`.
 
-    Forward elimination modulo p reduces each row on its tail only (the
-    columns from the pivot on).  Rows independent mod p are independent
-    over Q, so a pivot in every column proves True.  At the first column c
-    without a pivot, the echelon rows give a kernel vector mod p that is 1
-    at c and 0 past it; lifted to symmetric residues, it proves False when
-    the exact rows annihilate it.  Otherwise the answer is None, and only
-    an exact rank decides.
+    Forward elimination modulo p on rows packed one per int, as in
+    `_bareiss`: column j in an s-bit slot, s the bit length of side p**2
+    plus a sign bit, each slot biased by 2**(s - 1).  At column c the slot
+    of c is read mod p from every remaining row, the first nonzero one is
+    the pivot row, its tail is unpacked, scaled to pivot 1 mod p and
+    repacked, and each other row takes one ``y - f * tail``, f its residue
+    at c; then slot c is shifted off.  Only pivot tails are reduced, so a
+    slot moves by less than p**2 per step and never leaves its s bits.
+    Rows independent mod p are independent over Q, so a pivot in every
+    column proves True.  At the first column c without a pivot, the
+    echelon rows give a kernel vector mod p that is 1 at c and 0 past it;
+    lifted to symmetric residues, it proves False when the exact rows
+    annihilate it.  Otherwise the answer is None, and only an exact rank
+    decides.
     """
     p, side = _PRIME, len(rows)
-    rest = [[0] * side for _ in rows]
-    for row, nonzero in zip(rest, rows):
-        for j, v in nonzero:
-            row[j] = v % p
+    slot = (side * p * p).bit_length() + 1
+    mask, half = (1 << slot) - 1, 1 << (slot - 1)
+    bias = ((1 << slot * side) - 1) // mask * half  # half in every slot: no slot borrows
+    rest = [sum([v % p << slot * j for j, v in row]) + bias for row in rows]
     tails = []  # tails[c]: the pivot row of column c from c on, pivot 1
     for c in range(side):
-        k = next((i for i, row in enumerate(rest) if row[c]), None)
+        residues = [((y & mask) - half) % p for y in rest]
+        k = next((i for i, f in enumerate(residues) if f), None)
         if k is None:
             break
-        row = rest.pop(k)
-        inv = pow(row[c], -1, p)
-        tail = [v * inv % p for v in row[c:]]
+        y, inv = rest.pop(k), pow(residues.pop(k), -1, p)
+        tail = [1] + [(((y >> t) & mask) - half) * inv % p
+                      for t in range(slot, slot * (side - c), slot)]
         tails.append(tail)
-        for row in rest:
-            f = row[c]
-            if f:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        packed = sum([v << slot * j for j, v in enumerate(tail[1:])])
+        rest = [(y >> slot) - f * packed if f else y >> slot for y, f in zip(rest, residues)]
     else:
         return True
     # every column before c has a pivot, and no remaining row is nonzero
@@ -235,7 +242,6 @@ def _full_rank_mod_p(rows) -> bool | None:
     v = [0] * c + [1]
     for i in range(c - 1, -1, -1):
         v[i] = -sum(a * b for a, b in zip(tails[i][1:], v[i + 1 :])) % p
-    half = p // 2
-    v = [a - p if a > half else a for a in v]
+    v = [a - p if a > p // 2 else a for a in v]
     annihilated = all(sum(val * v[j] for j, val in nonzero if j <= c) == 0 for nonzero in rows)
     return False if annihilated else None

@@ -81,6 +81,11 @@ def operator_to_obj(op: Operator) -> dict:
     ))
 
 
+def _is_int(raw) -> bool:
+    """Whether a JSON value is an integer; a boolean is not, though Python counts it as one."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _space_from_obj(obj: dict, where: str, *more: str) -> tuple[int, int, str]:
     """The checked ``site_dim``, ``legs`` and ``scalar`` of `obj`, which also needs keys `more`."""
     missing = {"scalar", "site_dim", "legs", *more} - obj.keys()
@@ -90,9 +95,9 @@ def _space_from_obj(obj: dict, where: str, *more: str) -> tuple[int, int, str]:
     if backend not in (RATIONAL, COMPLEX64):
         raise FormatError(f"unknown scalar backend {backend!r}", f"{where}.scalar")
     site_dim, legs = obj["site_dim"], obj["legs"]
-    if not isinstance(site_dim, int) or site_dim < 1:
+    if not _is_int(site_dim) or site_dim < 1:
         raise FormatError("site_dim must be a positive integer", f"{where}.site_dim")
-    if not isinstance(legs, int) or legs < 0:
+    if not _is_int(legs) or legs < 0:
         raise FormatError("legs must be a non-negative integer", f"{where}.legs")
     return site_dim, legs, backend
 
@@ -206,6 +211,8 @@ def subspace_from_obj(obj, where: str = "subspace"):
     ops = tuple(
         operator_from_obj(o, f"{where}.basis[{i}]") for i, o in enumerate(obj["basis"])
     )
+    if not _is_int(obj["dimension"]):
+        raise FormatError("dimension must be an integer", f"{where}.dimension")
     if obj["dimension"] != len(ops):
         raise FormatError(
             f'dimension {obj["dimension"]} does not match basis size {len(ops)}', where
@@ -233,7 +240,7 @@ def components_from_obj(obj, where: str = "components") -> dict:
         if not isinstance(item, dict) or {"m", "n", "operator"} - item.keys():
             raise FormatError('expected keys "m", "n", "operator"', here)
         m, n = item["m"], item["n"]
-        if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+        if not _is_int(m) or not _is_int(n) or m < 0 or n < 0:
             raise FormatError("m and n must be non-negative integers", here)
         out[(m, n)] = operator_from_obj(item["operator"], f"{here}.operator")
     return out

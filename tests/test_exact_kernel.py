@@ -51,7 +51,7 @@ from ybt import (
 )
 from ybt.errors import SingularOperatorError, YbtError
 from ybt.formats import subspace_from_obj, subspace_to_obj
-from ybt.exact import _PRIME, _tagged
+from ybt.exact import _PRIME, _full_rank_mod_p, _tagged
 from ybt.subspace_solver import (
     _check_dependencies,
     _independent_rows,
@@ -1417,6 +1417,114 @@ def integer_squares(draw, max_side=7):
 def test_modular_invertibility_decides_as_the_exact_rank(rows, den):
     x = Fraction(1, den) * as_operator(rows)
     assert _invertible(x) == (_rank(x) == x.side)
+
+
+def ref_full_rank_mod_p(rows):
+    """`_full_rank_mod_p` on unpacked rows: elimination mod p over lists, entry by entry."""
+    p, side = _PRIME, len(rows)
+    rest = [[0] * side for _ in rows]
+    for row, nonzero in zip(rest, rows):
+        for j, v in nonzero:
+            row[j] = v % p
+    tails = []  # tails[c]: the pivot row of column c from c on, pivot 1
+    for c in range(side):
+        k = next((i for i, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            break
+        row = rest.pop(k)
+        inv = pow(row[c], -1, p)
+        tail = [v * inv % p for v in row[c:]]
+        tails.append(tail)
+        for row in rest:
+            f = row[c]
+            if f:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+    else:
+        return True
+    v = [0] * c + [1]
+    for i in range(c - 1, -1, -1):
+        v[i] = -sum(a * b for a, b in zip(tails[i][1:], v[i + 1 :])) % p
+    v = [a - p if a > p // 2 else a for a in v]
+    annihilated = all(sum(val * v[j] for j, val in nonzero if j <= c) == 0 for nonzero in rows)
+    return False if annihilated else None
+
+
+def stored(rows):
+    """Dense integer rows as the (column, value) pairs `_full_rank_mod_p` reads."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_squares(max_side=12))
+def test_packed_modular_pass_decides_as_the_list_reference(rows):
+    rows = stored(rows)
+    assert _full_rank_mod_p(rows) is ref_full_rank_mod_p(rows)
+
+
+# dense rows as drawn are independent mod p; a last column 2 c0 - c1 gives
+# the kernel vector (-2, 1, 0, ..., 0, 1), which lifts; p added to one
+# entry of that column keeps it mod p only, so its lift is refused
+@pytest.mark.parametrize("side", [3, 8, 9, 27, 32, 64, 81])
+@pytest.mark.parametrize("variant, verdict", [
+    ("as drawn", True), ("dependent column", False), ("dependent mod p only", None)
+])
+def test_packed_modular_pass_on_dense_rows_decides_as_the_list_reference(side, variant, verdict):
+    rng = random.Random(side)
+    rows = [[rng.randint(-9, 9) for _ in range(side)] for _ in range(side)]
+    if variant != "as drawn":
+        for row in rows:
+            row[-1] = 2 * row[0] - row[1]
+    if variant == "dependent mod p only":
+        rows[rng.randrange(side)][-1] += _PRIME
+    rows = stored(rows)
+    assert ref_full_rank_mod_p(rows) is verdict
+    assert _full_rank_mod_p(rows) is verdict
+
+
+def worst_case_rows(side, singular):
+    """Rows L U, L unit lower and U unit upper triangular, -1 off their diagonals.
+
+    Entry (i, j) is min(i, j) - 1, plus 2 on the diagonal.  At each step
+    of the pass mod p the pivot is the first remaining row, its tail after
+    the pivot is all p - 1, and so is every other row's residue at the
+    pivot column: every remaining slot takes (p - 1)**2, the most a step
+    can subtract.  With `singular` the last row drops its own row of U,
+    so its last column has no pivot.
+    """
+    rows = [[min(i, j) - 1 + 2 * (i == j) for j in range(side)] for i in range(side)]
+    if singular:
+        rows[-1][-1] -= 1
+    return stored(rows)
+
+
+def worst_case_slot_problems():
+    """Where the packed pass mod p and the list reference differ on `worst_case_rows`.
+
+    The checks are plain comparisons, not asserts, so they hold under
+    python -O too.
+    """
+    problems = []
+    for side in range(1, 82):
+        for singular in (False, True):
+            rows = worst_case_rows(side, singular)
+            got, want = _full_rank_mod_p(rows), ref_full_rank_mod_p(rows)
+            if got is not want or (want is True) is singular:
+                problems.append(f"side {side}, singular {singular}: {got} against {want}")
+    return problems
+
+
+def test_worst_case_slots_match_the_reference_under_optimized_python():
+    assert worst_case_slot_problems() == []
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys\nsys.path[:0] = [{tests!r}]\n"
+        "import test_exact_kernel as t\n"
+        "problems = t.worst_case_slot_problems()\n"
+        "print(problems)\n"
+        "raise SystemExit(1 if problems else 0)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, (done.stdout + done.stderr).decode()
 
 
 @settings(max_examples=60, deadline=None)

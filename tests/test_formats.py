@@ -206,6 +206,43 @@ def test_bad_entry_deep_in_a_subspace_is_located_exactly(bad):
     assert str(err.value).endswith("(at subspace.basis[3].rows[5][7])")
 
 
+def one_element_space():
+    obj = subspace_to_obj(r_symmetric_space(identity(2, 2), 1))
+    return dict(obj, basis=obj["basis"][:1], dimension=1)
+
+
+# each value equals the integer the reader needs, so only a type check refuses it
+@pytest.mark.parametrize("read, obj, where", [
+    (subspace_from_obj, lambda: dict(one_element_space(), dimension=True), "subspace.dimension"),
+    (subspace_from_obj, lambda: dict(one_element_space(), dimension=1.0), "subspace.dimension"),
+    (subspace_from_obj,
+     lambda: dict(subspace_to_obj(r_symmetric_space(identity(2, 2), 1)), dimension=4.0),
+     "subspace.dimension"),
+    (subspace_from_obj,
+     lambda: {"basis": [], "dimension": 0, "legs": 2, "scalar": "rational", "site_dim": True},
+     "subspace.site_dim"),
+    (subspace_from_obj,
+     lambda: {"basis": [], "dimension": False, "legs": 2, "scalar": "rational", "site_dim": 2},
+     "subspace.dimension"),
+    (operator_from_obj, lambda: dict(operator_to_obj(identity(1, 2)), site_dim=True),
+     "operator.site_dim"),
+    (operator_from_obj, lambda: dict(operator_to_obj(identity(2, 1)), legs=True),
+     "operator.legs"),
+    (operator_from_obj, lambda: dict(operator_to_obj(identity(2, 0)), legs=False),
+     "operator.legs"),
+    (operator_from_obj, lambda: dict(operator_to_obj(identity(2, 1)), legs=1.0),
+     "operator.legs"),
+    (components_from_obj,
+     lambda: {"components": [{"m": True, "n": 1, "operator": operator_to_obj(identity(2, 2))}]},
+     "components.components[0]"),
+], ids=["dimension true", "dimension 1.0", "dimension 4.0", "site_dim true", "dimension false",
+        "operator site_dim true", "legs true", "legs false", "legs 1.0", "m true"])
+def test_readers_refuse_booleans_and_floats_for_integer_keys(read, obj, where):
+    with pytest.raises(FormatError) as err:
+        read(obj())
+    assert err.value.where == where
+
+
 def test_components_roundtrip():
     rng = random.Random(8)
     comps = {(1, 1): rand_operator(rng, legs=2), (1, 2): rand_operator(rng, legs=3)}

@@ -9,7 +9,8 @@ The commutants of identity(3, 2) and of Jimbo's U_q(sl_3) R on 5 legs
 closed-form dimensions, and the solver's traced memory at identity(3, 2)
 on 4 legs is bounded; two
 smaller commutant bases and two intertwiner bases (between a catalog R and
-its twist) are pinned by the sha256 of their kernel vectors.
+its twist) are pinned by the sha256 of their kernel vectors, and the
+certificate search on spaces of side 64 and 81 by that of its outcome.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from math import comb
 
 import pytest
 
+import ybt.subspace_solver
+
 from ybt import (
     Operator,
     apply_twist,
@@ -28,6 +31,7 @@ from ybt import (
     fuse_r,
     identity,
     intertwiner_space,
+    invertible_certificate,
     mixed_ybe_residual,
     r_symmetric_space,
     swap,
@@ -144,3 +148,31 @@ def test_intertwiner_basis_against_the_twist_is_pinned(name, n, digest):
     entry = catalog.get(name)
     space = intertwiner_space(entry.r, apply_twist(entry.r, entry.twist.f), n)
     assert kernel_digest(space) == digest
+
+
+def certificate_digest(found) -> str:
+    """sha256 of a certificate's coefficients and its combination's stored form."""
+    coeffs, combo = found
+    return hashlib.sha256(repr((coeffs, combo.den, combo.entries)).encode()).hexdigest()
+
+
+# at the documented scale edge (side 64) and one leg of site_dim 3 past it
+# (side 81): the all-ones combination is refused by a lifted kernel vector
+# mod p, the first random one accepted mod p, and no exact rank runs
+@pytest.mark.parametrize("space, digest", [
+    (lambda: intertwiner_space(catalog.get("diag_twist").r, apply_twist(
+        catalog.get("diag_twist").r, catalog.get("diag_twist").twist.f), 6),
+     "9063e14f239f8fcb4b8ab49244fb749f933aef77f972f359a279a83dfcdf115e"),
+    (lambda: r_symmetric_space(identity(3, 2), 4, size_cap=81),
+     "af9acf55c2537529dbb0466dd64c22539ad2f49c42ece3f3960f0550a4b12351"),
+], ids=["diag_twist intertwiner n6", "identity(3, 2) commutant n4"])
+def test_certificate_search_at_the_scale_edge_is_pinned(monkeypatch, space, digest):
+    space = space()
+    verdicts, ranks = [], []
+    decide, rank = ybt.subspace_solver._full_rank_mod_p, ybt.subspace_solver._rank
+    monkeypatch.setattr(ybt.subspace_solver, "_full_rank_mod_p",
+                        lambda rows: verdicts.append(decide(rows)) or verdicts[-1])
+    monkeypatch.setattr(ybt.subspace_solver, "_rank", lambda x: ranks.append(x) or rank(x))
+    found = invertible_certificate(space, seed=0)
+    assert certificate_digest(found) == digest
+    assert verdicts == [False, True] and ranks == []
