@@ -21,12 +21,13 @@ A solved basis is stored as its sparse integer kernel vectors alone; its
 operators are built only when ``basis`` is first read, and no query here
 reads them: dimension, membership, certificates and the file form all run
 on the vectors.  Membership reads each coefficient off a cached reduced
-echelon form of the basis (a solver basis already is one) and then checks
-the combination exactly.  Deciding whether a computed subspace holds an
-invertible element is done by a seeded randomized search with an explicit
-budget.  Each attempt is decided by ``exact._full_rank_mod_p``, which
-gives an exact witness either way, or else by the exact integer rank, so
-the answers are those of an exact rank.  A miss is evidence, never a
+echelon form of the basis (a solver basis already is one, and so is one
+written to a file and read back) and then checks the combination
+exactly.  Deciding whether a computed subspace holds an invertible
+element is done by a seeded randomized search with an explicit budget.
+Each attempt is decided by ``exact._full_rank_mod_p``, which gives an
+exact witness either way, or else by the exact integer rank, so the
+answers are those of an exact rank.  A miss is evidence, never a
 proof of non-existence.
 """
 
@@ -68,7 +69,8 @@ class SubspaceBasis(Record):
     or a loop over the elements).  Every query in this module reads the
     vectors, so a solve that is only measured, tested or written out
     builds no operator.  ``_reduced`` (not a field) is true for a solver
-    basis, whose vectors already are a reduced echelon form.
+    basis, whose vectors already are a reduced echelon form, and for any
+    basis that `echelon` has found in that form.
     """
 
     site_dim: int
@@ -119,29 +121,35 @@ class SubspaceBasis(Record):
         """Reduced echelon form of the elements, with the combination behind each row.
 
         Returns ``(den, rows)``.  ``rows`` maps a pivot entry index c to
-        ``(r, w)``: r is a content-free integer vector whose last nonzero is
-        at c, with a zero at every other pivot, and r equals
-        ``sum(w[i] * den * vectors[i])``, where ``den`` is the common
+        ``(r, w)``: r is an integer vector whose last nonzero is at c, with
+        a zero at every other pivot, r and w together are content-free, and
+        r equals ``sum(w[i] * den * vectors[i])``, where ``den`` is the common
         denominator of the elements.  An element in the span of the earlier
         ones gets no row and appears in no ``w``.  A solver basis has this
         form by construction (`_kernel_basis` gives each vector its own free
         column, its last nonzero), so its rows are its vectors, unchecked;
         `membership_coefficients` still checks every combination exactly.
-        Any other basis is reduced once, on first use, by `_tagged` with
+        Any other basis is first tested for that form in one linear pass
+        (`_canonical`), as a solver basis written to a file and read back
+        passes; it then takes the same shortcut and is marked ``_reduced``.
+        Otherwise it is reduced once, on first use, by `_tagged` with
         ``reduce``, its columns in descending order of entry index so that
         each pivot is a last nonzero.
         """
-        if self._reduced:
-            return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
-        if self.dimension:
-            _require_exact(self, "echelon")
-        den, ints = self._integer_vectors()
-        # entry k is column top - k: `_tagged` pivots at the lowest column,
-        # so at the last nonzero entry
-        top = self.site_dim ** (2 * self.legs) - 1
-        pivots, _ = _tagged([{top - k: x for k, x in v.items()} for v in ints], top + 1, True)
-        return den, {top - c: ({top - j: x for j, x in r.items()}, w)
-                     for c, (r, w) in pivots.items()}
+        if not self._reduced:
+            if self.dimension:
+                _require_exact(self, "echelon")
+            if not (all(op.den == 1 for op in self.basis) and _canonical(self.vectors)):
+                den, ints = self._integer_vectors()
+                # entry k is column top - k: `_tagged` pivots at the lowest
+                # column, so at the last nonzero entry
+                top = self.site_dim ** (2 * self.legs) - 1
+                pivots, _ = _tagged([{top - k: x for k, x in v.items()} for v in ints],
+                                    top + 1, True)
+                return den, {top - c: ({top - j: x for j, x in r.items()}, w)
+                             for c, (r, w) in pivots.items()}
+            vars(self)["_reduced"] = True  # not a field: equality is unchanged
+        return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
 
     def is_independent(self) -> bool:
         """Exact rank check: dimension equals the number of echelon pivots."""
@@ -151,6 +159,22 @@ class SubspaceBasis(Record):
 # ---------------------------------------------------------------------------
 # exact null spaces over the integer passes of ``exact``
 # ---------------------------------------------------------------------------
+
+
+def _canonical(vectors) -> bool:
+    """Whether integer vectors are in the form `_kernel_basis` returns, in one pass.
+
+    That form: each vector nonzero, content-free, its first nonzero
+    positive, the last nonzeros distinct and each vector zero at every
+    other vector's last nonzero.  Such vectors are independent, and the
+    tagged pass of `SubspaceBasis.echelon` would return each one as its
+    own row, with combination {i: 1}.
+    """
+    lasts = {max(v) for v in vectors if v}
+    return len(lasts) == len(vectors) and all(
+        v[min(v)] > 0 and len(v.keys() & lasts) == 1 and math.gcd(*v.values()) == 1
+        for v in vectors
+    )
 
 
 def _vectorize(op: Operator) -> dict[int, Scalar]:
@@ -522,7 +546,11 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     entry, exactly; any difference means `op` is outside the span.  An
     element in the span of the earlier elements gets coefficient 0, so a
     dependent basis gives the combination of its first independent
-    elements.
+    elements.  The pivots `op` touches are one set intersection of keys.
+    When each of their rows has pivot entry 1, as every row of the solved
+    commutant of an ``identity`` R does, the pivot rows are subtracted in
+    place from a fresh dict of the stored entries of `op`, with no scaled
+    copy.
     """
     if (op.site_dim, op.legs, op.backend) != (
         basis.site_dim,
@@ -532,11 +560,11 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
         raise ShapeMismatchError("operator does not live in the basis space")
     _require_exact(op, "membership_coefficients")
     den, echelon = basis.echelon
-    target = _to_flat(op)
-    used = [(c, target[c], *echelon[c]) for c in target if c in echelon]
+    target = _to_flat(op)  # a fresh dict: the remainder is formed in it
+    used = [(c, target[c], *echelon[c]) for c in echelon.keys() & target.keys()]
     # scale * target = sum f_c r_c, with f_c = target[c] * scale / r_c[c]
     scale = math.lcm(*(r[c] for c, _, r, _ in used))
-    rest = {k: scale * v for k, v in target.items()}
+    rest = target if scale == 1 else {k: scale * v for k, v in target.items()}
     coeffs = [0] * basis.dimension
     for c, t, r, w in used:
         f = t * (scale // r[c])
@@ -547,7 +575,10 @@ def membership_coefficients(basis: SubspaceBasis, op: Operator):
     if any(rest.values()):
         return None
     # op = target / op.den and r_c = sum w_c[i] * den * vectors[i]
-    return tuple(Fraction(c * den, scale * op.den) for c in coeffs)
+    over = scale * op.den
+    if over == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) runs
+        return tuple(Fraction(c * den) for c in coeffs)
+    return tuple(Fraction(c * den, over) for c in coeffs)
 
 
 def _invertible(x: Operator) -> bool:
