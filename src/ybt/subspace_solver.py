@@ -21,13 +21,12 @@ A solved basis is stored as its sparse integer kernel vectors alone; its
 operators are built only when ``basis`` is first read, and no query here
 reads them: dimension, membership, certificates and the file form all run
 on the vectors.  Membership reads each coefficient off a cached reduced
-echelon form of the basis (a solver basis already is one, and so is one
-written to a file and read back) and then checks the combination
-exactly.  Deciding whether a computed subspace holds an invertible
-element is done by a seeded randomized search with an explicit budget.
-Each attempt is decided by ``exact._full_rank_mod_p``, which gives an
-exact witness either way, or else by the exact integer rank, so the
-answers are those of an exact rank.  A miss is evidence, never a
+echelon form of the basis (a solver basis already is one) and then checks
+the combination exactly.  Deciding whether a computed subspace holds an
+invertible element is done by a seeded randomized search with an explicit
+budget.  Each attempt is decided by ``exact._full_rank_mod_p``, which
+gives an exact witness either way, or else by the exact integer rank, so
+the answers are those of an exact rank.  A miss is evidence, never a
 proof of non-existence.
 """
 
@@ -69,8 +68,7 @@ class SubspaceBasis(Record):
     or a loop over the elements).  Every query in this module reads the
     vectors, so a solve that is only measured, tested or written out
     builds no operator.  ``_reduced`` (not a field) is true for a solver
-    basis, whose vectors already are a reduced echelon form, and for any
-    basis that `echelon` has found in that form.
+    basis, whose vectors already are a reduced echelon form.
     """
 
     site_dim: int
@@ -129,27 +127,21 @@ class SubspaceBasis(Record):
         form by construction (`_kernel_basis` gives each vector its own free
         column, its last nonzero), so its rows are its vectors, unchecked;
         `membership_coefficients` still checks every combination exactly.
-        Any other basis is first tested for that form in one linear pass
-        (`_canonical`), as a solver basis written to a file and read back
-        passes; it then takes the same shortcut and is marked ``_reduced``.
-        Otherwise it is reduced once, on first use, by `_tagged` with
+        Any other basis is reduced once, on first use, by `_tagged` with
         ``reduce``, its columns in descending order of entry index so that
         each pivot is a last nonzero.
         """
-        if not self._reduced:
-            if self.dimension:
-                _require_exact(self, "echelon")
-            if not (all(op.den == 1 for op in self.basis) and _canonical(self.vectors)):
-                den, ints = self._integer_vectors()
-                # entry k is column top - k: `_tagged` pivots at the lowest
-                # column, so at the last nonzero entry
-                top = self.site_dim ** (2 * self.legs) - 1
-                pivots, _ = _tagged([{top - k: x for k, x in v.items()} for v in ints],
-                                    top + 1, True)
-                return den, {top - c: ({top - j: x for j, x in r.items()}, w)
-                             for c, (r, w) in pivots.items()}
-            vars(self)["_reduced"] = True  # not a field: equality is unchanged
-        return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
+        if self._reduced:
+            return 1, {max(v): (v, {i: 1}) for i, v in enumerate(self.vectors)}
+        if self.dimension:
+            _require_exact(self, "echelon")
+        den, ints = self._integer_vectors()
+        # entry k is column top - k: `_tagged` pivots at the lowest column,
+        # so at the last nonzero entry
+        top = self.site_dim ** (2 * self.legs) - 1
+        pivots, _ = _tagged([{top - k: x for k, x in v.items()} for v in ints], top + 1, True)
+        return den, {top - c: ({top - j: x for j, x in r.items()}, w)
+                     for c, (r, w) in pivots.items()}
 
     def is_independent(self) -> bool:
         """Exact rank check: dimension equals the number of echelon pivots."""
@@ -159,22 +151,6 @@ class SubspaceBasis(Record):
 # ---------------------------------------------------------------------------
 # exact null spaces over the integer passes of ``exact``
 # ---------------------------------------------------------------------------
-
-
-def _canonical(vectors) -> bool:
-    """Whether integer vectors are in the form `_kernel_basis` returns, in one pass.
-
-    That form: each vector nonzero, content-free, its first nonzero
-    positive, the last nonzeros distinct and each vector zero at every
-    other vector's last nonzero.  Such vectors are independent, and the
-    tagged pass of `SubspaceBasis.echelon` would return each one as its
-    own row, with combination {i: 1}.
-    """
-    lasts = {max(v) for v in vectors if v}
-    return len(lasts) == len(vectors) and all(
-        v[min(v)] > 0 and len(v.keys() & lasts) == 1 and math.gcd(*v.values()) == 1
-        for v in vectors
-    )
 
 
 def _vectorize(op: Operator) -> dict[int, Scalar]:

@@ -733,26 +733,25 @@ def test_dependent_basis_is_reported():
     assert not SubspaceBasis(2, 1, "rational", (op, Fraction(-3, 2) * op)).is_independent()
 
 
-@pytest.mark.parametrize("ops, den, pivot_entries, canonical", [
-    # already canonical: the elements are the echelon rows
-    (([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 1, {1}, True),
-    (([[1, 0, 0], [0, 0, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 3], [0, 0, 0]]), 1, {2, 3}, True),
-    # reduced by the tagged pass
-    (([[1, 1, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]]), 1, {1}, False),
-    (([[1, 1, 0], [0, 0, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 3], [0, 0, 1]]), 1, {2, 6}, False),
+@pytest.mark.parametrize("ops, den, pivot_entries", [
+    # the elements already are the echelon rows
+    (([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 1, {1}),
+    (([[1, 0, 0], [0, 0, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 3], [0, 0, 0]]), 1, {2, 3}),
+    # the rows are combinations of the elements
+    (([[1, 1, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]]), 1, {1}),
+    (([[1, 1, 0], [0, 0, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 3], [0, 0, 1]]), 1, {2, 6}),
     # a common denominator above 1
     (([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, Fraction(1, 2)]],
-      [[0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)], [0, 0, 0]]), 2, {1}, False),
+      [[0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)], [0, 0, 0]]), 2, {1}),
     (([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, 1]],
-      [[0, Fraction(1, 3), 0], [0, 0, 1], [0, 0, 0]]), 6, {6}, False),
+      [[0, Fraction(1, 3), 0], [0, 0, 1], [0, 0, 0]]), 6, {6}),
 ])
-def test_membership_on_each_branch_matches_reference(ops, den, pivot_entries, canonical):
+def test_membership_on_each_branch_matches_reference(ops, den, pivot_entries):
     # the pivot entries set the scale: 1, or above 1; targets over den 1 and above
     ops = [as_operator(rows) for rows in ops]
     space = SubspaceBasis(3, 1, "rational", tuple(ops))
     got_den, rows = space.echelon
     assert (got_den, {r[c] for c, (r, _) in rows.items()}) == (den, pivot_entries)
-    assert space._reduced == canonical
     for coeffs, over_one in (((6, -6), False), ((Fraction(1, 2), Fraction(-5, 7)), True)):
         member = as_operator([
             [sum((c * op.rows[i][j] for c, op in zip(coeffs, ops)), Fraction(0)) for j in range(3)]

@@ -12,7 +12,6 @@ before the solver runs:
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -33,11 +32,9 @@ from ybt import (
     omega_split_B,
     r_symmetric_residual,
     r_symmetric_space,
-    subspace_solver,
     swap,
 )
 from ybt.errors import BackendMismatchError, ShapeMismatchError, SizeCapError
-from ybt.exact import _tagged
 from ybt.formats import subspace_from_obj, subspace_to_obj
 
 from conftest import rand_invertible
@@ -173,52 +170,34 @@ def test_solver_basis_builds_its_operators_only_when_read(six_vertex_entry):
     assert space == eager and space.basis is ops
 
 
-def flat_operator(space, flat):
-    side = space.site_dim**space.legs
-    return Operator.from_rows(space.site_dim, space.legs,
-                              [[flat.get(i * side + j, 0) for j in range(side)]
-                               for i in range(side)])
-
-
-def tagged_echelon(space):
-    """The tagged pass on [V | I], columns by descending entry index, on any basis."""
-    den = math.lcm(*(op.den for op in space.basis))
-    top = space.site_dim ** (2 * space.legs) - 1
-    pivots, _ = _tagged([{top - k: int(v * den) for k, v in vec.items()}
-                         for vec in space.vectors], top + 1, True)
-    return den, {top - c: ({top - j: x for j, x in r.items()}, w)
-                 for c, (r, w) in pivots.items()}
-
-
-def weighted_member(space):
-    """The combination with coefficient i + 1 on element i, and those coefficients."""
-    weighted: dict[int, Fraction] = {}
-    for i, vec in enumerate(space.vectors):
-        for k, v in vec.items():
-            weighted[k] = weighted.get(k, 0) + (i + 1) * v
-    return (flat_operator(space, weighted),
-            tuple(Fraction(i + 1) for i in range(space.dimension)))
-
-
 @pytest.mark.parametrize("name", [*catalog.names(), "identity(3,2)"])
 def test_solver_echelon_matches_the_reduction_of_its_operators(name):
     # a solver basis takes its vectors as its echelon rows, unchecked; its
     # twin built from operators, and the same basis written to a file and
-    # read back, are recognised as canonical in one pass, and all three
-    # equal what the tagged pass on [V | I] gives
+    # read back, are reduced by the tagged pass on [V | I] to the same rows
     r = identity(3, 2) if name == "identity(3,2)" else catalog.get(name).r
     space = r_symmetric_space(r, 3)
     side = space.site_dim**space.legs
+
+    def operator(flat):
+        return Operator.from_rows(space.site_dim, space.legs,
+                                  [[flat.get(i * side + j, 0) for j in range(side)]
+                                   for i in range(side)])
+
     eager = SubspaceBasis(space.site_dim, space.legs, space.backend,
-                          tuple(flat_operator(space, v) for v in space.vectors))
+                          tuple(map(operator, space.vectors)))
     reloaded = subspace_from_obj(subspace_to_obj(space))
     assert reloaded == eager
-    assert not eager._reduced and not reloaded._reduced
     for twin in (eager, reloaded):
-        assert twin.echelon == space.echelon == tagged_echelon(twin)
-        assert twin._reduced and twin.is_independent() == space.is_independent()
-    member, expected = weighted_member(space)
-    units = (flat_operator(space, {k: 1}) for k in range(side * side))
+        assert twin.echelon == space.echelon
+        assert twin.is_independent() == space.is_independent()
+    weighted: dict[int, int] = {}
+    for i, vec in enumerate(space.vectors):
+        for k, v in vec.items():
+            weighted[k] = weighted.get(k, 0) + (i + 1) * v
+    member = operator(weighted)
+    expected = tuple(Fraction(i + 1) for i in range(space.dimension))
+    units = (operator({k: 1}) for k in range(side * side))
     outsider = next((e for e in units if r_symmetric_residual(r, e)), None)
     if outsider is None:  # the whole operator space
         assert space.dimension == side * side
@@ -227,54 +206,6 @@ def test_solver_echelon_matches_the_reduction_of_its_operators(name):
         if outsider is not None:
             assert membership_coefficients(basis, outsider) is None
     assert "basis" not in vars(space)
-    assert space == eager
-
-
-def not_canonical(space, how):
-    """A spanning set of `space` that fails one condition of the canonical form."""
-    vectors = list(space.vectors)
-    first, second = vectors[0], vectors[1]
-    if how == "rescaled":
-        vectors[0] = {k: 2 * v for k, v in first.items()}
-    elif how == "negated":
-        vectors[0] = {k: -v for k, v in first.items()}
-    elif how == "dependent":
-        vectors.append({k: first.get(k, 0) + second.get(k, 0)
-                        for k in first.keys() | second.keys()})
-    elif how == "fractional":
-        vectors[0] = {k: Fraction(v, 2) for k, v in first.items()}
-    else:  # a nonzero at another vector's last nonzero
-        low, high = sorted((first, second), key=max)
-        vectors[vectors.index(high)] = {k: low.get(k, 0) + high.get(k, 0)
-                                        for k in low.keys() | high.keys()}
-    return SubspaceBasis(space.site_dim, space.legs, space.backend,
-                         tuple(flat_operator(space, v) for v in vectors))
-
-
-@pytest.mark.parametrize("name", ["identity(3,2)", "six_vertex"])
-@pytest.mark.parametrize("how", ["rescaled", "negated", "dependent", "fractional", "pivot hit"])
-def test_a_basis_off_the_canonical_form_takes_the_tagged_pass(name, how, monkeypatch):
-    r = identity(3, 2) if name == "identity(3,2)" else catalog.get(name).r
-    space = r_symmetric_space(r, 3)
-    other = not_canonical(space, how)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _tagged(*args)
-
-    monkeypatch.setattr(subspace_solver, "_tagged", counted)
-    assert other.echelon == tagged_echelon(other)
-    assert len(calls) == 1 and not other._reduced
-    assert other.is_independent() == (how != "dependent")
-    member, coeffs = weighted_member(other)
-    got = membership_coefficients(other, member)
-    if how == "dependent":  # the appended sum lies in the span: coefficient 0
-        n = coeffs[-1]
-        assert got == (coeffs[0] + n, coeffs[1] + n, *coeffs[2:-1], 0)
-    else:
-        assert got == coeffs
-    assert len(calls) == 1  # the echelon form is cached
 
 
 def test_solver_echelon_rows_are_its_vectors_after_the_operators_are_built(six_vertex_entry):
